@@ -73,7 +73,7 @@ class AsyncCTE(ExplorationAlgorithm):
         ptree = expl.ptree
         root = expl.tree.root
         moves: Dict[int, Move] = {}
-        for i in sorted(movable):
+        for i in expl.in_robot_order(movable):
             v = expl.positions[i]
             if ptree.is_finished(v):
                 moves[i] = STAY if v == root else UP

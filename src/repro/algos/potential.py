@@ -67,7 +67,7 @@ class PotentialCTE(ExplorationAlgorithm):
         routed: Dict[int, int] = {}
 
         moves: Dict[int, Move] = {}
-        for i in sorted(movable):
+        for i in expl.in_robot_order(movable):
             v = expl.positions[i]
             if ptree.is_finished(v):
                 moves[i] = STAY if v == root else UP

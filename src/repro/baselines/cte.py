@@ -42,7 +42,7 @@ class CTE(ExplorationAlgorithm):
         ptree = expl.ptree
         root = expl.tree.root
         by_node: Dict[int, List[int]] = defaultdict(list)
-        for i in sorted(movable):
+        for i in expl.in_robot_order(movable):
             by_node[expl.positions[i]].append(i)
 
         moves: Dict[int, Move] = {}

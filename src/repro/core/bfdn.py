@@ -144,39 +144,44 @@ class BFDN(ExplorationAlgorithm):
         """
         root = expl.tree.root
         ptree = expl.ptree
+        positions = expl.positions
+        stacks = self._stacks
+        sorted_ports = self._sorted_ports
+        moves_in_excursion = self._moves_in_excursion
         moves: Dict[int, Move] = {}
         # Per-node iterator over dangling ports, shared by all robots at
         # the node this round: hands out distinct ports in increasing
         # order, which implements "dangling and unselected" (line 20).
         port_iters: Dict[int, Iterator[int]] = {}
 
-        for i in sorted(movable):
-            u = expl.positions[i]
-            if u == root and not self._stacks[i]:
-                self._reanchor(i, expl)
-            if self._stacks[i]:
-                nxt = self._stacks[i].pop()
-                moves[i] = down(nxt)
+        for i in expl.in_robot_order(movable):
+            u = positions[i]
+            if u == root and not stacks[i]:
+                self._reanchor(i, expl)  # rebinds stacks[i]
+            stack = stacks[i]
+            if stack:
+                moves[i] = down(stack.pop())
+                moves_in_excursion[i] += 1
+                continue
+            it = port_iters.get(u)
+            if it is None:
+                cached = sorted_ports.get(u)
+                if cached is None:
+                    # Low-degree node: a one-shot sort of its few
+                    # ports beats maintaining a cache entry.
+                    cached = sorted(ptree.dangling_ports(u))
+                it = iter(cached)
+                port_iters[u] = it
+            port = next(it, None)
+            if port is not None:
+                moves[i] = explore(port)
+                self._explores_in_excursion[i] += 1
+                moves_in_excursion[i] += 1
+            elif u != root:
+                moves[i] = UP
+                moves_in_excursion[i] += 1
             else:
-                it = port_iters.get(u)
-                if it is None:
-                    cached = self._sorted_ports.get(u)
-                    if cached is None:
-                        # Low-degree node: a one-shot sort of its few
-                        # ports beats maintaining a cache entry.
-                        cached = sorted(ptree.dangling_ports(u))
-                    it = iter(cached)
-                    port_iters[u] = it
-                port = next(it, None)
-                if port is not None:
-                    moves[i] = explore(port)
-                    self._explores_in_excursion[i] += 1
-                elif u != root:
-                    moves[i] = UP
-                else:
-                    moves[i] = STAY
-            if moves[i][0] != "stay":
-                self._moves_in_excursion[i] += 1
+                moves[i] = STAY
         return moves
 
     # ------------------------------------------------------------------

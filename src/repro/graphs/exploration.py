@@ -282,9 +282,13 @@ class GraphRoundState(RoundState):
 
     def progress_token(self):
         """Positions plus settled-edge count: an identity swap closes an
-        edge without moving anyone, so edge progress counts too."""
+        edge without moving anyone, so edge progress counts too.
+
+        The position list is shared, not copied: ``apply`` binds a fresh
+        list every round and never mutates the old one.
+        """
         return (
-            list(self.expl.positions),
+            self.expl.positions,
             self.expl.tree_edges + self.expl.closed_edges,
         )
 

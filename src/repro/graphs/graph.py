@@ -59,6 +59,11 @@ class Graph:
                     queue.append(v)
         if any(d < 0 for d in self._dist):
             raise ValueError("graph is not connected")
+        # A graph never changes after construction, so its radius and
+        # maximum degree are fixed here rather than rescanned per access
+        # (graph-BFDN reads the radius every time a robot re-anchors).
+        self._radius = max(self._dist)
+        self._max_degree = max(len(a) for a in self._adj)
 
     # ------------------------------------------------------------------
     @property
@@ -69,12 +74,12 @@ class Graph:
     @property
     def radius(self) -> int:
         """Maximum distance from the origin — Proposition 9's ``D``."""
-        return max(self._dist)
+        return self._radius
 
     @property
     def max_degree(self) -> int:
         """Maximum node degree (``Delta``)."""
-        return max(len(a) for a in self._adj)
+        return self._max_degree
 
     def degree(self, v: int) -> int:
         """Number of ports at ``v``."""

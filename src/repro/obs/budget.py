@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
 from .writer import NullWriter
@@ -120,7 +120,9 @@ class BudgetObserver(RoundObserver):
             budget.name: [] for budget in self.budgets
         }
         self._fired: set = set()
-        self._latest: Dict[str, MarginSample] = {}
+        #: Latest ``(t, value, margin)`` per budget; a :class:`MarginSample`
+        #: is only built for the rounds that enter the series.
+        self._latest: Dict[str, Tuple[int, float, float]] = {}
 
     # ------------------------------------------------------------------
     def on_attach(self, state: RoundState) -> None:
@@ -129,14 +131,17 @@ class BudgetObserver(RoundObserver):
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Measure every budget and fire violations the moment they occur."""
-        sample_round = (record.t + 1) % self.every == 0
+        t = record.t
+        sample_round = (t + 1) % self.every == 0
+        latest = self._latest
         for budget in self.budgets:
             value = float(budget.value(state, record))
             margin = budget.limit - value
-            sample = MarginSample(t=record.t, value=value, margin=margin)
-            self._latest[budget.name] = sample
+            latest[budget.name] = (t, value, margin)
             if sample_round:
-                self.series[budget.name].append(sample)
+                self.series[budget.name].append(
+                    MarginSample(t=t, value=value, margin=margin)
+                )
             if margin < 0 and budget.name not in self._fired:
                 self._fired.add(budget.name)
                 violation = BudgetViolation(
@@ -172,8 +177,8 @@ class BudgetObserver(RoundObserver):
             latest = self._latest.get(budget.name)
             if latest is not None:
                 samples = self.series[budget.name]
-                if not samples or samples[-1].t != latest.t:
-                    samples.append(latest)
+                if not samples or samples[-1].t != latest[0]:
+                    samples.append(MarginSample(*latest))
         if self.budgets:
             self._flush(outcome.wall_rounds, final=True)
 
@@ -183,7 +188,7 @@ class BudgetObserver(RoundObserver):
         out: Dict[str, float] = {}
         for budget in self.budgets:
             latest = self._latest.get(budget.name)
-            out[budget.name] = latest.margin if latest is not None else budget.limit
+            out[budget.name] = latest[2] if latest is not None else budget.limit
         return out
 
     def min_margin(self, name: Optional[str] = None) -> float:
@@ -195,8 +200,8 @@ class BudgetObserver(RoundObserver):
             for sample in samples
         ]
         latest = [
-            sample.margin
-            for budget_name, sample in self._latest.items()
+            margin
+            for budget_name, (_, _, margin) in self._latest.items()
             if name is None or budget_name == name
         ]
         pool = candidates + latest

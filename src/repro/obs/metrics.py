@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
+from itertools import repeat
+from operator import countOf, itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
@@ -129,30 +131,34 @@ class Histogram(Metric):
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("histograms need at least one bucket")
+        #: Bucket counts per label set; their sum is the observation
+        #: count, and ``_values`` holds the running sum.
         self._counts: Dict[LabelSet, List[int]] = {}
-        self._totals: Dict[LabelSet, Tuple[int, float]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation."""
-        key = _labelset(labels)
-        counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
+        self._observe(_labelset(labels), value)
+
+    def _observe(self, key: LabelSet, value: float) -> None:
+        """Record one observation under an already encoded label set."""
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
         counts[bisect_right(self.buckets, value)] += 1
-        count, total = self._totals.get(key, (0, 0.0))
-        self._totals[key] = (count + 1, total + value)
-        self._values[key] = total + value  # `value()` returns the sum
+        values = self._values
+        values[key] = values.get(key, 0.0) + value  # `value()` returns the sum
 
     def samples(self) -> List[Dict[str, Any]]:
         """Sum/count/bucket samples per label combination."""
         out: List[Dict[str, Any]] = []
         for key in sorted(self._counts):
-            count, total = self._totals[key]
             out.append(
                 {
                     "name": self.name,
                     "kind": self.kind,
                     "labels": dict(key),
-                    "value": total,
-                    "count": count,
+                    "value": self._values[key],
+                    "count": sum(self._counts[key]),
                     "buckets": {
                         str(bound): n
                         for bound, n in zip(
@@ -166,7 +172,6 @@ class Histogram(Metric):
     def reset(self) -> None:
         super().reset()
         self._counts.clear()
-        self._totals.clear()
 
     def merge(self, other: "Metric") -> None:
         """Fold another histogram in: bucket-wise and sum/count adds."""
@@ -180,10 +185,9 @@ class Histogram(Metric):
             mine = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
             for i, n in enumerate(counts):
                 mine[i] += n
-            count, total = self._totals.get(key, (0, 0.0))
-            ocount, ototal = other._totals.get(key, (0, 0.0))
-            self._totals[key] = (count + ocount, total + ototal)
-            self._values[key] = total + ototal
+            self._values[key] = (
+                self._values.get(key, 0.0) + other._values.get(key, 0.0)
+            )
 
 
 class MetricsRegistry:
@@ -254,6 +258,15 @@ def _is_mover(move: Any) -> bool:
     return isinstance(move, tuple) and bool(move) and move[0] != "stay"
 
 
+_first = itemgetter(0)
+
+#: Moves per round above which :meth:`MetricsObserver.on_round` counts
+#: movers in C.  Below it the per-move test is cheaper than setting up
+#: the C-level count (measured on CPython 3.11: 0.5 vs 1.4 us for one
+#: move, 12.6 vs 8.9 us for 64; the two cross at about 8).
+_C_COUNT_MIN_MOVES = 8
+
+
 class MetricsObserver(RoundObserver):
     """Streams per-round engine metrics into a registry and the event log.
 
@@ -288,6 +301,9 @@ class MetricsObserver(RoundObserver):
         self._phase_hist = self.registry.histogram(
             "engine_phase_seconds", "per-round engine phase wall time"
         )
+        self._phase_keys = tuple(
+            _labelset({"phase": phase}) for phase in ("select", "apply", "observe")
+        )
         self._reset_run()
 
     def _reset_run(self) -> None:
@@ -315,9 +331,11 @@ class MetricsObserver(RoundObserver):
         self.select_s += select_s
         self.apply_s += apply_s
         self.observe_s += observe_s
-        self._phase_hist.observe(select_s, phase="select")
-        self._phase_hist.observe(apply_s, phase="apply")
-        self._phase_hist.observe(observe_s, phase="observe")
+        observe = self._phase_hist._observe
+        select_key, apply_key, observe_key = self._phase_keys
+        observe(select_key, select_s)
+        observe(apply_key, apply_s)
+        observe(observe_key, observe_s)
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Fold one :class:`RoundRecord` into the counters."""
@@ -326,13 +344,24 @@ class MetricsObserver(RoundObserver):
         moves = record.moves
         movers = 0
         if isinstance(moves, dict):
-            for agent, move in moves.items():
-                if not _is_mover(move):
-                    continue
-                if agent in record.struck:
-                    self.blocked += 1
-                else:
-                    movers += 1
+            values = moves.values()
+            if (
+                not record.struck
+                and len(values) > _C_COUNT_MIN_MOVES
+                and all(map(isinstance, values, repeat(tuple)))
+                and () not in values
+            ):
+                # Every move is a non-empty tuple and none was struck:
+                # the movers are the moves whose kind is not "stay".
+                movers = len(values) - countOf(map(_first, values), "stay")
+            else:
+                for agent, move in moves.items():
+                    if not _is_mover(move):
+                        continue
+                    if agent in record.struck:
+                        self.blocked += 1
+                    else:
+                        movers += 1
         self.moves += movers
         team = state.team()
         if team is not None and record.billed > record.billed_before:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..trees.partial import PartialTree, RevealEvent
@@ -98,11 +99,20 @@ class Exploration:
         self.positions: List[int] = [tree.root] * k
         self.round = 0
         self.metrics = ExplorationMetrics()
+        self._robots = frozenset(range(k))
 
     # ------------------------------------------------------------------
     def robots_at(self, v: int) -> List[int]:
         """Robots currently located at node ``v``."""
         return [i for i, p in enumerate(self.positions) if p == v]
+
+    def in_robot_order(self, movable: Set[int]) -> Sequence[int]:
+        """The robots of ``movable`` in increasing index order.
+
+        Returns ``range(k)`` when the whole team may move, which saves
+        sorting the set every round.
+        """
+        return range(self.k) if movable == self._robots else sorted(movable)
 
     def is_done(self) -> bool:
         """The paper's termination condition: explored and everyone home."""
@@ -127,80 +137,95 @@ class Exploration:
         what the guarantees bound, wall time is billed plus the unbilled
         trailing quiescence, on the global and per-robot clocks alike.
         """
+        k = self.k
         root = self.tree.root
-        new_positions = list(self.positions)
+        positions = self.positions
+        new_positions = list(positions)
+        # The partial tree's own tables: ``_parent`` holds exactly the
+        # explored nodes, ``_dangling`` their untraversed ports.
+        parent_of = self.ptree._parent
+        dangling = self.ptree._dangling
         reveals: Dict[Tuple[int, int], List[int]] = {}
         moved: List[int] = []
+        # One set test covers every robot of the usual round; otherwise
+        # each robot is checked in turn so the first offender is reported.
+        checked = self._robots.issuperset(moves) and (
+            isinstance(movable, (set, frozenset)) and movable.issuperset(moves)
+        )
 
         for i, move in moves.items():
-            if not 0 <= i < self.k:
-                raise MoveError(f"unknown robot {i}")
-            if i not in movable:
-                raise MoveError(f"robot {i} is blocked this round")
-            u = self.positions[i]
+            if not checked:
+                if not 0 <= i < k:
+                    raise MoveError(f"unknown robot {i}")
+                if i not in movable:
+                    raise MoveError(f"robot {i} is blocked this round")
             kind = move[0]
             if kind == "stay":
                 continue
+            u = positions[i]
             if kind == "up":
                 if u == root:
                     continue  # up at the root is interpreted as "stay"
-                new_positions[i] = self.ptree.parent(u)
+                new_positions[i] = parent_of[u]
                 moved.append(i)
             elif kind == "down":
                 child = move[1]
-                if not self.ptree.is_explored(child) or self.ptree.parent(child) != u:
+                if parent_of.get(child) != u:
                     raise MoveError(f"robot {i}: no explored edge {u} -> {child}")
                 new_positions[i] = child
                 moved.append(i)
             elif kind == "explore":
                 port = move[1]
-                if port not in self.ptree.dangling_ports(u):
+                if port not in dangling[u]:
                     raise MoveError(f"robot {i}: port {port} of {u} is not dangling")
-                reveals.setdefault((u, port), []).append(i)
+                robots = reveals.get((u, port))
+                if robots is None:
+                    reveals[(u, port)] = [i]
+                else:
+                    robots.append(i)
                 moved.append(i)
             else:
                 raise MoveError(f"robot {i}: unknown move {move!r}")
 
         events: List[RevealEvent] = []
-        decide = getattr(self.tree, "decide_degree", None)
-        for (u, port), robots in reveals.items():
-            if len(robots) > 1 and not self.allow_shared_reveal:
-                raise MoveError(
-                    f"robots {robots} selected the same dangling edge "
-                    f"({u}, port {port}); forbidden in this model"
+        if reveals:
+            tree = self.tree
+            reveal = self.ptree.reveal
+            decide = getattr(tree, "decide_degree", None)
+            for (u, port), robots in reveals.items():
+                if len(robots) > 1 and not self.allow_shared_reveal:
+                    raise MoveError(
+                        f"robots {robots} selected the same dangling edge "
+                        f"({u}, port {port}); forbidden in this model"
+                    )
+                if decide is not None:
+                    # Adaptive adversary (trees.lazy): the node's structure
+                    # is fixed only now, knowing how many robots arrive.
+                    decide(u, port, len(robots))
+                child = tree.port_to(u, port)
+                events.append(
+                    reveal(u, port, child, tree.degree(child), by_robot=robots[0])
                 )
-            if decide is not None:
-                # Adaptive adversary (trees.lazy): the node's structure is
-                # fixed only now, knowing how many robots arrive.
-                decide(u, port, len(robots))
-            child = self.tree.port_to(u, port)
-            events.append(
-                self.ptree.reveal(
-                    u, port, child, self.tree.degree(child), by_robot=robots[0]
-                )
-            )
-            for i in robots:
-                new_positions[i] = child
+                for i in robots:
+                    new_positions[i] = child
 
+        metrics = self.metrics
         if moved:
             self.round += 1
-            self.metrics.rounds = self.round
-            self.metrics.total_moves += len(moved)
-            for i in moved:
-                self.metrics.moves_per_robot[i] += 1
-            stationary = self.k - len(moved)
-            if stationary:
+            metrics.rounds = self.round
+            metrics.total_moves += len(moved)
+            metrics.moves_per_robot.update(moved)
+            if len(moved) < k:
                 # A robot is idle in a billed round iff it did not traverse
                 # an edge — whether it submitted "stay", "up" at the root
                 # (the paper's stay convention), no move at all, or was
                 # blocked.  Counting by complement of ``moved`` keeps
                 # ``moves_per_robot[i] + idle_per_robot[i] == rounds``.
-                self.metrics.idle_rounds += 1
-                moved_set = set(moved)
-                for i in range(self.k):
-                    if i not in moved_set:
-                        self.metrics.idle_per_robot[i] += 1
-        self.metrics.reveals += len(events)
+                metrics.idle_rounds += 1
+                metrics.idle_per_robot.update(
+                    filterfalse(set(moved).__contains__, range(k))
+                )
+        metrics.reveals += len(events)
         self.positions = new_positions
         return events
 
@@ -210,7 +235,7 @@ class TreeRoundState(RoundState):
 
     def __init__(self, expl: Exploration):
         self.expl = expl
-        self._team = frozenset(range(expl.k))
+        self._team = expl._robots
 
     def apply(self, moves, movable):
         """Execute one synchronous round through the move validator."""
@@ -225,8 +250,13 @@ class TreeRoundState(RoundState):
         return self.expl.ptree.is_complete()
 
     def progress_token(self):
-        """Robot positions — in the tree model every effect moves a robot."""
-        return list(self.expl.positions)
+        """Robot positions — in the tree model every effect moves a robot.
+
+        No copy is needed: :meth:`Exploration.apply` never mutates the
+        position list, it binds a fresh one, so a token taken before a
+        round keeps the positions of that moment.
+        """
+        return self.expl.positions
 
     def team(self):
         """All ``k`` robots."""

@@ -207,6 +207,33 @@ class RoundRecord:
     #: Model-specific events returned by ``apply`` (e.g. reveals).
     events: Any = None
 
+    def __init__(
+        self,
+        t: int,
+        billed_before: int,
+        billed: int,
+        moves: Any,
+        struck: Set[int],
+        movable: Optional[Set[int]],
+        before: Any,
+        progressed: bool,
+        events: Any = None,
+    ):
+        # One record per round: filling ``__dict__`` in one call costs
+        # less than half of the generated frozen ``__init__``'s one
+        # ``object.__setattr__`` per field.  Keep in step with the fields.
+        self.__dict__.update(
+            t=t,
+            billed_before=billed_before,
+            billed=billed,
+            moves=moves,
+            struck=struck,
+            movable=movable,
+            before=before,
+            progressed=progressed,
+            events=events,
+        )
+
     def surviving_moves(self) -> Any:
         """The moves that actually executed (selected minus struck)."""
         if not self.struck:

@@ -110,6 +110,12 @@ class SyncRoundScheduler(Scheduler):
         # Phase timing is opt-in per observer; with no taker the loop
         # performs zero clock reads beyond what it always did.
         timed = [obs for obs in observers if obs.wants_phase_timing]
+        # Only observers that override ``should_stop`` can stop a run;
+        # the base method always answers None.
+        stoppers = [
+            obs for obs in observers
+            if type(obs).should_stop is not RoundObserver.should_stop
+        ]
         _t0 = _t1 = _t2 = 0.0
         policy.attach(state)
         for obs in observers:
@@ -172,7 +178,7 @@ class SyncRoundScheduler(Scheduler):
                 obs.on_round(state, record)
 
             observer_reason = None
-            for obs in observers:
+            for obs in stoppers:
                 observer_reason = obs.should_stop(state, record)
                 if observer_reason is not None:
                     break
@@ -297,15 +303,21 @@ class StochasticSpeed(SpeedSchedule):
         self.low = float(low)
         self.seed = seed
         self._draws: Dict[int, List[float]] = {}
+        # Reseeding one generator per draw gives the same stream as a
+        # fresh ``random.Random`` per draw, without the allocation.
+        self._rng = random.Random()
 
     def duration(self, robot: int, tick: int) -> float:
         """Uniform draw in ``[low, 1]``, memoised per ``(robot, tick)``."""
         draws = self._draws.get(robot)
         if draws is None:
             draws = self._draws[robot] = []
-        while len(draws) < tick:
-            rng = random.Random(f"{self.seed}:{robot}:{len(draws)}")
-            draws.append(self.low + (1.0 - self.low) * rng.random())
+        if len(draws) < tick:
+            rng = self._rng
+            low = self.low
+            while len(draws) < tick:
+                rng.seed(f"{self.seed}:{robot}:{len(draws)}")
+                draws.append(low + (1.0 - low) * rng.random())
         return draws[tick - 1]
 
 
@@ -441,6 +453,12 @@ class AsyncEventScheduler(Scheduler):
             raise ValueError("the async scheduler requires an agent team")
         observers = list(engine.observers)
         timed = [obs for obs in observers if obs.wants_phase_timing]
+        # Only observers that override ``should_stop`` can stop a run;
+        # the base method always answers None.
+        stoppers = [
+            obs for obs in observers
+            if type(obs).should_stop is not RoundObserver.should_stop
+        ]
         _t0 = _t1 = _t2 = 0.0
         policy.attach(state)
         for obs in observers:
@@ -519,7 +537,7 @@ class AsyncEventScheduler(Scheduler):
                 billed=state.billed_rounds(),
                 moves=moves,
                 struck=set(),
-                movable=set(ticking),
+                movable=ticking,  # a fresh set every batch, never mutated
                 before=before,
                 progressed=after != before,
                 events=events,
@@ -535,7 +553,7 @@ class AsyncEventScheduler(Scheduler):
                 obs.on_round(state, record)
 
             observer_reason = None
-            for obs in observers:
+            for obs in stoppers:
                 observer_reason = obs.should_stop(state, record)
                 if observer_reason is not None:
                     break

@@ -55,6 +55,29 @@ class RevealEvent:
     child_open: bool
     by_robot: int = -1
 
+    def __init__(
+        self,
+        node: int,
+        port: int,
+        child: int,
+        child_degree: int,
+        node_closed: bool,
+        child_open: bool,
+        by_robot: int = -1,
+    ):
+        # One event per reveal: filling ``__dict__`` in one call costs
+        # less than half of the generated frozen ``__init__``'s one
+        # ``object.__setattr__`` per field.  Keep in step with the fields.
+        self.__dict__.update(
+            node=node,
+            port=port,
+            child=child,
+            child_degree=child_degree,
+            node_closed=node_closed,
+            child_open=child_open,
+            by_robot=by_robot,
+        )
+
 
 class PartialTree:
     """Incrementally discovered rooted tree.

@@ -213,6 +213,29 @@ class TestSpeedSchedules:
         with pytest.raises(ValueError):
             StochasticSpeed(low=0.0)
 
+    #: ``StochasticSpeed(low=0.25, seed=0)`` durations, robots 0-2 x
+    #: ticks 1-3.  Literal values, so a change of seeding shows here even
+    #: when two instances of the new code agree with each other.
+    STOCHASTIC_PINS = {
+        0: [0.4421363694376498, 0.7098595838283087, 0.5908394338128946],
+        1: [0.8925413761192925, 0.8159518498550282, 0.8061742780150614],
+        2: [0.9570567425021427, 0.33038815457969406, 0.3138731143990161],
+    }
+
+    def test_stochastic_draws_are_pinned(self):
+        speeds = StochasticSpeed(low=0.25, seed=0)
+        for robot, durations in self.STOCHASTIC_PINS.items():
+            assert [speeds.duration(robot, t) for t in (1, 2, 3)] == durations
+
+    def test_stochastic_draws_are_order_independent(self):
+        speeds = StochasticSpeed(low=0.25, seed=0)
+        queries = [(2, 3), (0, 2), (1, 1), (2, 1), (0, 3), (1, 3), (0, 1),
+                   (2, 2), (1, 2)]
+        for robot, tick in queries:
+            assert speeds.duration(robot, tick) == (
+                self.STOCHASTIC_PINS[robot][tick - 1]
+            )
+
     def test_registry_factory_and_validation(self):
         speeds = registry.make_speed_schedule(
             "adversarial-slowdown", {"slow": 2, "factor": 3.0}, k=4

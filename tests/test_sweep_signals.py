@@ -144,11 +144,14 @@ class TestSweepCliSignal:
             os.path.join(os.path.dirname(__file__), "..", "src")
             + os.pathsep + env.get("PYTHONPATH", "")
         )
+        # Sixteen jobs of 40k nodes keep two workers busy for several
+        # seconds even on a fast host, so the signal lands mid-sweep.
+        seeds = [str(s) for s in range(16)]
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "sweep",
                 "--algorithms", "bfdn", "--trees", "random",
-                "-n", "40000", "-k", "2", "--seeds", "0", "1", "2", "3",
+                "-n", "40000", "-k", "2", "--seeds", *seeds,
                 "--jobs", "2", "--cache-dir", str(cache),
             ],
             env=env,
@@ -156,7 +159,14 @@ class TestSweepCliSignal:
             stderr=subprocess.STDOUT,
             text=True,
         )
-        time.sleep(3.0)  # let at least one job start
+        # The sweep opens its store just before it binds the signal
+        # handlers; wait for that rather than guessing the import time.
+        deadline = time.monotonic() + 30.0
+        while not cache.exists():
+            assert proc.poll() is None, proc.communicate()[0]
+            assert time.monotonic() < deadline, "sweep never opened its store"
+            time.sleep(0.05)
+        time.sleep(1.0)  # let at least one job start
         proc.send_signal(signal.SIGINT)
         try:
             out, _ = proc.communicate(timeout=30)
