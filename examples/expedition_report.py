@@ -18,9 +18,29 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis import line_plot
 from repro.mission import plan_mission
-from repro.sim import Exploration, TimeSeriesRecorder
+from repro.sim import RoundObserver, Simulator, TimeSeriesObserver
 from repro.trees import generators as gen, tree_stats
 from repro.viz import tree_svg
+
+
+class SnapshotObserver(RoundObserver):
+    """Renders an SVG the first time exploration passes each milestone."""
+
+    MILESTONES = (("start", 0.1), ("middle", 0.5), ("end", 1.0))
+
+    def __init__(self, title: str):
+        self.title = title
+        self.snapshots = {}
+
+    def on_round(self, state, record) -> None:
+        expl = state.expl
+        progress = expl.ptree.num_explored / expl.tree.n
+        for tag, threshold in self.MILESTONES:
+            if tag not in self.snapshots and progress >= threshold:
+                self.snapshots[tag] = tree_svg(
+                    expl.ptree, expl.positions,
+                    title=f"{self.title}, {progress:.0%} explored",
+                )
 
 
 def main(n: int = 400, k: int = 6, outdir: str = "out") -> None:
@@ -31,30 +51,18 @@ def main(n: int = 400, k: int = 6, outdir: str = "out") -> None:
 
     plan = plan_mission(tree.n, tree.depth, k)
     print(f"Plan: {plan.algorithm_name} — {plan.rationale}")
-    algo = TimeSeriesRecorder(plan.build())
 
     os.makedirs(outdir, exist_ok=True)
-    expl = Exploration(tree, k, allow_shared_reveal=plan.algorithm_name == "CTE")
-    algo.attach(expl)
-    everyone = set(range(k))
-    snapshots = {}
-    while True:
-        moves = algo.select_moves(expl, everyone)
-        before = list(expl.positions)
-        events = expl.apply(moves, everyone)
-        algo.observe(expl, events)
-        progress = expl.ptree.num_explored / tree.n
-        for tag, threshold in (("start", 0.1), ("middle", 0.5), ("end", 1.0)):
-            if tag not in snapshots and progress >= threshold:
-                snapshots[tag] = tree_svg(
-                    expl.ptree, expl.positions,
-                    title=f"{plan.algorithm_name}, {progress:.0%} explored",
-                )
-        if expl.positions == before:
-            break
+    sampler = TimeSeriesObserver()
+    snapshots = SnapshotObserver(plan.algorithm_name)
+    result = Simulator(
+        tree, plan.build(), k,
+        allow_shared_reveal=plan.algorithm_name == "CTE",
+        observers=[sampler, snapshots],
+    ).run()
 
-    series = algo.series
-    print(f"\nExplored in {expl.round} rounds "
+    series = sampler.series
+    print(f"\nExplored in {result.rounds} rounds "
           f"(working-depth monotone: {series.working_depth_is_monotone()}, "
           f"avg {series.exploration_rate():.2f} nodes/round)\n")
     rounds = series.column("round")
@@ -71,7 +79,7 @@ def main(n: int = 400, k: int = 6, outdir: str = "out") -> None:
         title="exploration progress (nodes explored vs frontier depth)",
     ))
 
-    for tag, svg in snapshots.items():
+    for tag, svg in snapshots.snapshots.items():
         path = os.path.join(outdir, f"expedition_{tag}.svg")
         with open(path, "w") as f:
             f.write(svg)

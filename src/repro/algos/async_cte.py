@@ -29,8 +29,8 @@ No decision reads another agent's position or clock, so the rule is
 well-defined under any speed schedule: the engine simply offers each
 agent a move whenever *its own* traversal completes.  Under the unit
 schedule every agent is offered every round and the algorithm runs as
-an ordinary synchronous strategy (which is how the registry-coverage
-job exercises it).  Between two reveals an agent only ever moves toward
+an ordinary synchronous strategy (which is how the CI smoke job's
+registry steps exercise it).  Between two reveals an agent only ever moves toward
 an open node — up through finished subtrees, down through unfinished
 ones — so each agent traverses a dangling edge at least every ``2D`` of
 its own ticks and the run terminates without round-cap help.

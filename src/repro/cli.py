@@ -59,7 +59,7 @@ from .registry import (
     workload_kind,
 )
 from .scenario import ScenarioSpec
-from .sim import Simulator, TraceRecorder
+from .sim import Simulator, TraceObserver
 from .sim.backend import BACKENDS, DEFAULT_BACKEND
 from .sim.render import animate
 from .trees import generators as gen
@@ -677,9 +677,9 @@ def cmd_load(args) -> int:
 def cmd_demo(args) -> int:
     """Animate a small BFDN run frame by frame in the terminal."""
     tree = TREES[args.tree](args.n)
-    recorder = TraceRecorder(BFDN())
-    Simulator(tree, recorder, args.k).run()
-    for round_idx, frame in enumerate(animate(recorder.trace, tree, args.rounds)):
+    tracer = TraceObserver()
+    Simulator(tree, BFDN(), args.k, observers=[tracer]).run()
+    for round_idx, frame in enumerate(animate(tracer.trace, tree, args.rounds)):
         print(f"--- round {round_idx} ---")
         print(frame)
     return 0

@@ -57,7 +57,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..trees.partial import PartialTree
-from .backend import EngineBackend, note_fallback
+from .backend import note_fallback
 from .metrics import ExplorationMetrics, ReanchorRecord
 
 try:  # numpy is the optional ``repro[fast]`` extra
@@ -252,7 +252,7 @@ def _decline_reason(engine) -> Optional[str]:
 # The backend
 # ---------------------------------------------------------------------
 
-class ArrayBackend(EngineBackend):
+class ArrayBackend:
     """Flat-array BFDN executor (see the module docstring)."""
 
     name = "array"

@@ -1,33 +1,30 @@
-"""Engine backends: pluggable executors behind :class:`RoundEngine`.
+"""Engine backend names and the array fallback log.
 
 The round engine's *protocol* (state / policy / interference /
 observers) is fixed; **how** a run is driven to termination is a
 backend decision.  Two backends ship:
 
-* ``reference`` — the dict-based per-round loop in
-  :mod:`repro.sim.runloop`, the semantics oracle.  Every model and every
-  observer runs here.
+* ``reference`` — the scheduler's round loop
+  (:meth:`repro.sim.scheduler.Scheduler.run`), the semantics oracle.
+  Every model and every observer runs here.
 * ``array`` — :mod:`repro.sim.array_backend`: flat-array state plus an
   event-driven round loop for the standard BFDN-on-tree model, ~10-30x
-  the reference's rounds/sec.  It *declines* configurations outside its
-  supported envelope (other algorithms, adversaries, non-batch
-  observers, graph/game states) and the engine falls back to the
-  reference loop — same results, reference speed — logging the reason
-  once per process.
+  the reference's rounds/sec.  ``RoundEngine.run`` calls it directly;
+  it *declines* configurations outside its supported envelope (other
+  algorithms, adversaries, non-batch observers, graph/game states) and
+  the engine falls back to the reference loop — same results, reference
+  speed — logging the reason once per process.
 
-Backends are looked up by name through :func:`resolve_backend`; unknown
-names raise the registry-style "known names" ValueError, so the same
-message surfaces from the CLI, :class:`~repro.scenario.ScenarioSpec`
-validation and the serve daemon.
+Names are checked by :func:`validate_backend`; unknown names raise the
+registry-style "known names" ValueError, so the same message surfaces
+from the CLI, :class:`~repro.scenario.ScenarioSpec` validation and the
+serve daemon.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Optional, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .runloop import RoundEngine, RunOutcome
+from typing import Set, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -58,33 +55,6 @@ def available_backends() -> Tuple[str, ...]:
     return BACKENDS
 
 
-class EngineBackend:
-    """One way of driving a :class:`~repro.sim.runloop.RoundEngine`.
-
-    ``execute`` either runs the engine to termination and returns the
-    :class:`~repro.sim.runloop.RunOutcome`, or returns ``None`` to
-    decline — the engine then falls back to the reference loop.  A
-    backend must be *exact*: any outcome it returns (including all state
-    and metrics mutations) must be indistinguishable from the reference
-    loop's.
-    """
-
-    name = "abstract"
-
-    def execute(self, engine: "RoundEngine") -> Optional["RunOutcome"]:
-        raise NotImplementedError
-
-
-class ReferenceBackend(EngineBackend):
-    """The dict-based per-round loop (see ``RoundEngine._run_reference``)."""
-
-    name = "reference"
-
-    def execute(self, engine: "RoundEngine") -> Optional["RunOutcome"]:
-        """Always decline, routing the engine to its own loop."""
-        return None
-
-
 #: Reasons already logged for declined array runs (log once per process,
 #: not once per run — sweeps run thousands of scenarios).
 _warned_fallbacks: Set[str] = set()
@@ -97,26 +67,10 @@ def note_fallback(reason: str) -> None:
         logger.warning("backend=array falling back to reference: %s", reason)
 
 
-def resolve_backend(name: str) -> EngineBackend:
-    """The backend instance for ``name`` (validates the name)."""
-    validate_backend(name)
-    if name == "array":
-        from .array_backend import ArrayBackend
-
-        return ArrayBackend.instance()
-    return _REFERENCE
-
-
-_REFERENCE = ReferenceBackend()
-
-
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "EngineBackend",
-    "ReferenceBackend",
     "available_backends",
     "note_fallback",
-    "resolve_backend",
     "validate_backend",
 ]

@@ -26,13 +26,15 @@ small protocol:
 The kernel owns, in exactly one place: the wall-clock vs billed-round
 accounting, the ``3nD``-style safety caps (:func:`tree_round_cap`,
 :func:`graph_round_cap`) and the "nobody moved although everyone could"
-quiescence test.  *Time itself* is pluggable: the engine delegates its
-loop to a :class:`~repro.sim.scheduler.Scheduler` —
-``SyncRoundScheduler`` (the default, the lockstep loop that used to
-live here verbatim) or ``AsyncEventScheduler`` (per-robot clocks driven
-by speed schedules, the asynchronous model of arXiv:2507.15658).  A
-future model is one new ``Policy`` + ``Interference`` (and, if it needs
-its own notion of time, a ``Scheduler``), not a fifth hand-rolled loop.
+quiescence test.  The round body itself lives once, in
+:meth:`repro.sim.scheduler.Scheduler.run`; *time* is pluggable through
+that class's hooks (``start``, ``offer``, ``settle``, ``quiescent``,
+``finish``).  ``SyncRoundScheduler`` (the default) offers every movable
+robot every round; ``AsyncEventScheduler`` offers the robots whose
+per-robot clocks tick next, driven by speed schedules (the asynchronous
+model of arXiv:2507.15658).  A future model is one new ``Policy`` +
+``Interference`` (and, if it needs its own notion of time, a
+``Scheduler`` with those hooks), not a fifth hand-rolled loop.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ logger = logging.getLogger(__name__)
 #: Version tag of the round-stepping kernel, recorded per bench row so a
 #: snapshot can be traced to the engine that produced it.  Bump on any
 #: change to round semantics or the backend/scheduler dispatch.
-#: engine-v3 = the clock moved behind the Scheduler seam (sync semantics
-#: unchanged; SyncRoundScheduler is the engine-v2 loop verbatim).
+#: engine-v3 = the clock moved behind the Scheduler seam: one round body
+#: in ``Scheduler.run``, each clock a set of hooks (sync semantics
+#: unchanged from engine-v2).
 ENGINE_VERSION = "engine-v3"
 
 # Stop reasons reported in :class:`RunOutcome`.
@@ -340,8 +343,8 @@ class RoundEngine:
     backend:
         Which engine backend drives the run (see
         :mod:`repro.sim.backend`).  ``"reference"`` is the scheduler
-        loop; ``"array"`` is the flat-array fast path, which silently
-        falls back here for configurations outside its envelope.
+        loop; ``"array"`` is the flat-array fast path, which falls back
+        to the scheduler loop for configurations outside its envelope.
         Results are backend-independent by contract.
     scheduler:
         Who owns the clock (see :mod:`repro.sim.scheduler`).  ``None``
@@ -368,25 +371,18 @@ class RoundEngine:
 
     def run(self) -> RunOutcome:
         """Drive the state to termination and return the accounting."""
-        if self.backend != "reference":
-            from .backend import resolve_backend
+        if self.backend == "array":
+            from .array_backend import ArrayBackend
 
-            outcome = resolve_backend(self.backend).execute(self)
+            outcome = ArrayBackend.instance().execute(self)
             if outcome is not None:
                 return outcome
-        if self.scheduler is not None:
-            return self.scheduler.run(self)
-        return self._run_reference()
+        scheduler = self.scheduler
+        if scheduler is None:
+            from .scheduler import SyncRoundScheduler
 
-    def _run_reference(self) -> RunOutcome:
-        """The per-round lockstep loop (the semantics oracle).
-
-        Delegates to :class:`~repro.sim.scheduler.SyncRoundScheduler`,
-        where the loop body lives verbatim since the scheduler refactor.
-        """
-        from .scheduler import SyncRoundScheduler
-
-        return SyncRoundScheduler().run(self)
+            scheduler = SyncRoundScheduler()
+        return scheduler.run(self)
 
 
 # ---------------------------------------------------------------------

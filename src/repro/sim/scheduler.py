@@ -7,13 +7,14 @@ lockstep, one global round at a time.  Cosson's asynchronous follow-up
 Distributed Algorithm, and a new Lower Bound") drops that assumption:
 agents move at adversarially different speeds and the algorithm must be
 distributed.  The engine therefore delegates *time* to a
-:class:`Scheduler`:
+:class:`Scheduler`.  The round body exists once, in :meth:`Scheduler.run`;
+a clock only decides which robots are offered a move and when, through a
+handful of hooks:
 
-* :class:`SyncRoundScheduler` — the lockstep loop, moved here verbatim
-  from ``RoundEngine._run_reference``.  It is the default and is pinned
-  byte-identical to the pre-refactor engine by the golden traces and
-  hypothesis differentials in the test suite.
-* :class:`AsyncEventScheduler` — an event-driven loop with one clock per
+* :class:`SyncRoundScheduler` — the lockstep global round clock.  It is
+  the default and is pinned byte-identical to the pre-refactor engine by
+  the golden traces and hypothesis differentials in the test suite.
+* :class:`AsyncEventScheduler` — event-driven batches with one clock per
   robot.  A :class:`SpeedSchedule` assigns each robot's next traversal a
   duration in ``(0, 1]`` (the paper's normalisation: the slowest agent
   needs at most one time unit per edge); the scheduler pops the robots
@@ -73,36 +74,52 @@ logger = logging.getLogger(__name__)
 
 
 class Scheduler(ABC):
-    """Owns the clock: decides which agents act when, and drives the
-    engine's protocol objects (state, policy, observers) accordingly.
+    """Owns the clock: decides which agents act when.
 
-    ``RoundEngine.run`` delegates to its scheduler after backend
-    dispatch; the engine itself retains only the *configuration* (caps,
-    stop conditions, observers) while the scheduler owns the loop.
+    :meth:`run` is the one round loop of the engine — select, strike,
+    apply, observe, record, stop tests, caps — for every clock.  A clock
+    only supplies the hooks the loop calls:
+
+    * :meth:`start` — reset per-run state before the first round;
+    * :meth:`offer` — the agents offered a move in round ``t``;
+    * :meth:`settle` — per-clock bookkeeping after ``apply``, before the
+      observers see the round's record;
+    * :meth:`quiescent` — the clock's "nobody will move again" test;
+    * :meth:`finish` — checks once the run has stopped.
+
+    ``unit``/``units`` name a round of this clock in the cap messages.
     """
 
     name = "scheduler"
+    unit = "round"
+    units = "rounds"
+
+    def start(self, engine: RoundEngine) -> None:
+        """Prepare a fresh run of ``engine`` (before any attach hook)."""
 
     @abstractmethod
+    def offer(self, t: int, engine: RoundEngine) -> Optional[Set[int]]:
+        """The agents offered a move in round ``t`` (``None`` = all)."""
+
+    def settle(
+        self, t: int, state: Any, record: RoundRecord, after: Any
+    ) -> None:
+        """Per-clock bookkeeping for ``record``.
+
+        ``after`` is the state's progress token once the round's moves
+        applied.
+        """
+
+    @abstractmethod
+    def quiescent(self, state: Any, record: RoundRecord) -> bool:
+        """Whether the run has settled for good after ``record``."""
+
+    def finish(self) -> None:
+        """Called once the loop stops, before the observers' ``on_stop``."""
+
     def run(self, engine: RoundEngine) -> RunOutcome:
-        """Drive ``engine.state`` to termination and return the
-        accounting."""
-
-
-class SyncRoundScheduler(Scheduler):
-    """The lockstep global round clock (the semantics oracle).
-
-    This is the pre-refactor ``RoundEngine._run_reference`` loop moved
-    verbatim: one synchronous round per iteration, every robot offered
-    every round, billed-vs-wall accounting and the quiescence test
-    exactly as before.  ``RoundEngine`` uses it whenever no scheduler is
-    configured, so every existing call site runs through this class.
-    """
-
-    name = "sync"
-
-    def run(self, engine: RoundEngine) -> RunOutcome:
-        """Drive the state to termination with the global round clock."""
+        """Drive ``engine.state`` to termination; return the accounting."""
+        self.start(engine)
         state = engine.state
         policy = engine.policy
         interference = engine.interference
@@ -132,15 +149,15 @@ class SyncRoundScheduler(Scheduler):
             ):
                 reason = STOP_CAP
                 logger.warning(
-                    "round cap hit: %d billed rounds >= cap %d "
+                    "round cap hit: %d billed %s >= cap %d "
                     "(run did not finish on its own)",
-                    state.billed_rounds(), engine.billed_stop,
+                    state.billed_rounds(), self.units, engine.billed_stop,
                 )
                 break
 
             if timed:
                 _t0 = perf_counter()
-            movable = interference.movable(t, state)
+            movable = self.offer(t, engine)
             moves = policy.select_moves(state, movable)
             struck = interference.filter(t, state, moves)
             if struck:
@@ -163,6 +180,7 @@ class SyncRoundScheduler(Scheduler):
                 _t3 = perf_counter()
                 for obs in timed:
                     obs.on_phase_times(_t1 - _t0, _t2 - _t1, _t3 - _t2)
+            after = state.progress_token()
             record = RoundRecord(
                 t=t,
                 billed_before=billed_before,
@@ -171,9 +189,10 @@ class SyncRoundScheduler(Scheduler):
                 struck=struck,
                 movable=movable,
                 before=before,
-                progressed=state.progress_token() != before,
+                progressed=after != before,
                 events=events,
             )
+            self.settle(t, state, record, after)
             for obs in observers:
                 obs.on_round(state, record)
 
@@ -187,14 +206,7 @@ class SyncRoundScheduler(Scheduler):
                 reason = f"{STOP_OBSERVER}:{observer_reason}"
                 break
 
-            # The termination test shared by every synchronous model:
-            # nobody moved although everyone could (no strike, no mask).
-            if (
-                not record.progressed
-                and not struck
-                and movable == state.team()
-                and t >= engine.quiescence_grace
-            ):
+            if self.quiescent(state, record) and t >= engine.quiescence_grace:
                 if engine.bill_quiescent_round:
                     t += 1
                 reason = STOP_QUIESCENT
@@ -208,10 +220,12 @@ class SyncRoundScheduler(Scheduler):
                 message = (
                     engine.cap_message(billed, t)
                     if engine.cap_message is not None
-                    else f"run exceeded its round cap (billed={billed}, wall={t})"
+                    else f"run exceeded its {self.unit} cap "
+                    f"(billed={billed}, wall={t})"
                 )
                 raise RoundCapExceeded(message)
 
+        self.finish()
         outcome = RunOutcome(
             wall_rounds=t,
             billed_rounds=state.billed_rounds(),
@@ -220,6 +234,29 @@ class SyncRoundScheduler(Scheduler):
         for obs in observers:
             obs.on_stop(state, outcome)
         return outcome
+
+
+class SyncRoundScheduler(Scheduler):
+    """The lockstep global round clock (the semantics oracle).
+
+    Every robot the interference leaves movable is offered every round.
+    ``RoundEngine`` uses it whenever no scheduler is configured, so every
+    synchronous call site runs through this class.
+    """
+
+    name = "sync"
+
+    def offer(self, t: int, engine: RoundEngine) -> Optional[Set[int]]:
+        """The interference's pre-commitment mask for round ``t``."""
+        return engine.interference.movable(t, engine.state)
+
+    def quiescent(self, state: Any, record: RoundRecord) -> bool:
+        """Nobody moved although everyone could (no strike, no mask)."""
+        return (
+            not record.progressed
+            and not record.struck
+            and record.movable == state.team()
+        )
 
 
 # ---------------------------------------------------------------------
@@ -435,163 +472,87 @@ class AsyncEventScheduler(Scheduler):
     """
 
     name = "async"
+    unit = "batch"
+    units = "batches"
 
     def __init__(self, speeds: SpeedSchedule):
         self.speeds = speeds
 
-    def run(self, engine: RoundEngine) -> RunOutcome:
-        """Drive the state to termination on per-robot clocks."""
-        state = engine.state
-        policy = engine.policy
+    def start(self, engine: RoundEngine) -> None:
+        """Validate the engine and publish a fresh clock on its state.
+
+        Every run resets the clock, heap and stalled set, so one instance
+        can drive any number of runs.
+        """
         if not isinstance(engine.interference, NoInterference):
             raise ValueError(
                 "the async scheduler does not support interference; "
                 "speed schedules are the asynchronous adversary"
             )
-        team = state.team()
+        team = engine.state.team()
         if team is None:
             raise ValueError("the async scheduler requires an agent team")
-        observers = list(engine.observers)
-        timed = [obs for obs in observers if obs.wants_phase_timing]
-        # Only observers that override ``should_stop`` can stop a run;
-        # the base method always answers None.
-        stoppers = [
-            obs for obs in observers
-            if type(obs).should_stop is not RoundObserver.should_stop
-        ]
-        _t0 = _t1 = _t2 = 0.0
-        policy.attach(state)
-        for obs in observers:
-            obs.on_attach(state)
+        self._team = team
+        self._clock = AsyncClock(k=len(team))
+        engine.state.clock = self._clock  # published for observers and budgets
+        self._heap: List[Any] = [(0.0, i) for i in sorted(team)]
+        self._stalled: Set[int] = set()
+        self._now = 0.0
 
-        k = len(team)
-        clock = AsyncClock(k=k)
-        state.clock = clock  # published for observers and budgets
-        heap: List[Any] = [(0.0, i) for i in sorted(team)]
-        stalled: Set[int] = set()
-        t = 0
-        reason: Optional[str] = None
-        while True:
-            if engine.stop_when_complete and state.is_complete():
-                reason = STOP_COMPLETE
-                break
-            if (
-                engine.billed_stop is not None
-                and state.billed_rounds() >= engine.billed_stop
-            ):
-                reason = STOP_CAP
-                logger.warning(
-                    "round cap hit: %d billed batches >= cap %d "
-                    "(run did not finish on its own)",
-                    state.billed_rounds(), engine.billed_stop,
+    def offer(self, t: int, engine: RoundEngine) -> Set[int]:
+        """Pop the batch: every robot whose traversal ends earliest."""
+        heap = self._heap
+        now = self._now = heap[0][0]
+        ticking: Set[int] = set()  # a fresh set every batch, never mutated
+        while heap and heap[0][0] == now:
+            ticking.add(heappop(heap)[1])
+        return ticking
+
+    def settle(
+        self, t: int, state: Any, record: RoundRecord, after: Any
+    ) -> None:
+        """Re-arm each ticking robot's clock and bill its tick.
+
+        Progress tokens are per-agent position snapshots in the tree
+        model, so a tick is a move when the robot's entry changed.
+        """
+        clock = self._clock
+        now = self._now
+        before = record.before
+        progressed_time = 0.0
+        for i in sorted(record.movable):
+            clock.ticks[i] += 1
+            ends = now + self.speeds.duration(i, clock.ticks[i])
+            if ends <= now:
+                raise ValueError(
+                    f"speed schedule {self.speeds.name!r} returned a "
+                    f"non-positive duration for robot {i}"
                 )
-                break
-
-            # Pop the batch: every robot whose traversal ends earliest.
-            now = heap[0][0]
-            ticking: Set[int] = set()
-            while heap and heap[0][0] == now:
-                ticking.add(heappop(heap)[1])
-
-            if timed:
-                _t0 = perf_counter()
-            moves = policy.select_moves(state, ticking)
-            before = state.progress_token()
-            billed_before = state.billed_rounds()
-            if timed:
-                _t1 = perf_counter()
-            events = state.apply(moves, ticking)
-            if timed:
-                _t2 = perf_counter()
-            policy.observe(state, events)
-            if timed:
-                _t3 = perf_counter()
-                for obs in timed:
-                    obs.on_phase_times(_t1 - _t0, _t2 - _t1, _t3 - _t2)
-
-            # Re-arm each ticking robot's clock and attribute the tick to
-            # its per-clock accounting (progress tokens are per-agent
-            # position snapshots in the tree model).
-            after = state.progress_token()
-            progressed_time = 0.0
-            for i in sorted(ticking):
-                clock.ticks[i] += 1
-                ends = now + self.speeds.duration(i, clock.ticks[i])
-                if ends <= now:
-                    raise ValueError(
-                        f"speed schedule {self.speeds.name!r} returned a "
-                        f"non-positive duration for robot {i}"
-                    )
-                clock.times[i] = ends
-                heappush(heap, (ends, i))
-                if after[i] != before[i]:
-                    clock.moves[i] += 1
-                    progressed_time = max(progressed_time, ends)
-                else:
-                    clock.idle[i] += 1
-            clock.batches = t + 1
-
-            record = RoundRecord(
-                t=t,
-                billed_before=billed_before,
-                billed=state.billed_rounds(),
-                moves=moves,
-                struck=set(),
-                movable=ticking,  # a fresh set every batch, never mutated
-                before=before,
-                progressed=after != before,
-                events=events,
-            )
-            if record.progressed:
-                stalled.clear()
-                clock.completion_time = max(
-                    clock.completion_time, progressed_time
-                )
+            clock.times[i] = ends
+            heappush(self._heap, (ends, i))
+            if after[i] != before[i]:
+                clock.moves[i] += 1
+                progressed_time = max(progressed_time, ends)
             else:
-                stalled |= ticking
-            for obs in observers:
-                obs.on_round(state, record)
+                clock.idle[i] += 1
+        clock.batches = t + 1
+        if record.progressed:
+            self._stalled.clear()
+            clock.completion_time = max(clock.completion_time, progressed_time)
+        else:
+            self._stalled |= record.movable
 
-            observer_reason = None
-            for obs in stoppers:
-                observer_reason = obs.should_stop(state, record)
-                if observer_reason is not None:
-                    break
-            if observer_reason is not None:
-                t += 1
-                reason = f"{STOP_OBSERVER}:{observer_reason}"
-                break
+    def quiescent(self, state: Any, record: RoundRecord) -> bool:
+        """Every robot has ticked since the last progress and all stayed.
 
-            # Quiescence, per-clock: every robot has ticked since the
-            # last progress and all of them stayed.  The final all-stay
-            # batches are unbilled, matching Algorithm 1's convention.
-            if stalled >= team and t >= engine.quiescence_grace:
-                if engine.bill_quiescent_round:
-                    t += 1
-                reason = STOP_QUIESCENT
-                break
+        The final all-stay batches are unbilled, matching Algorithm 1's
+        convention.
+        """
+        return self._stalled >= self._team
 
-            t += 1
-            billed = state.billed_rounds()
-            if (engine.billed_cap is not None and billed > engine.billed_cap) or (
-                engine.wall_cap is not None and t > engine.wall_cap
-            ):
-                message = (
-                    engine.cap_message(billed, t)
-                    if engine.cap_message is not None
-                    else f"run exceeded its batch cap (billed={billed}, wall={t})"
-                )
-                raise RoundCapExceeded(message)
-
-        clock.check()
-        outcome = RunOutcome(
-            wall_rounds=t,
-            billed_rounds=state.billed_rounds(),
-            stop_reason=reason,
-        )
-        for obs in observers:
-            obs.on_stop(state, outcome)
-        return outcome
+    def finish(self) -> None:
+        """Assert the per-clock accounting identity."""
+        self._clock.check()
 
 
 # ---------------------------------------------------------------------

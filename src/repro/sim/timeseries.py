@@ -3,18 +3,17 @@
 The paper's analysis is organised around quantities that evolve round by
 round — the *working depth* (minimum depth of an open node, which is
 non-decreasing and drives ``Reanchor``), the number of explored nodes,
-the robots' depth profile.  :class:`TimeSeriesRecorder` wraps any
-algorithm and samples these each round, enabling the working-depth
+the robots' depth profile.  :class:`TimeSeriesObserver` hooks the round
+engine and samples these each round, enabling the working-depth
 progression plots/checks and regression tests on the exploration dynamics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional
 
-from ..trees.partial import RevealEvent
-from .engine import Exploration, ExplorationAlgorithm, Move, TreeRoundState
+from .engine import Exploration, TreeRoundState
 from .runloop import RoundObserver, RoundRecord
 
 
@@ -62,30 +61,6 @@ class TimeSeries:
         return (final.explored - first.explored) / rounds
 
 
-class TimeSeriesRecorder(ExplorationAlgorithm):
-    """Wraps an algorithm and samples the exploration state each round."""
-
-    def __init__(self, inner: ExplorationAlgorithm):
-        self.inner = inner
-        self.name = f"sampled({inner.name})"
-        self.series = TimeSeries()
-
-    def attach(self, expl: Exploration) -> None:
-        self.series = TimeSeries()
-        self.inner.attach(expl)
-        self._sample(expl)
-
-    def select_moves(self, expl: Exploration, movable: Set[int]) -> Dict[int, Move]:
-        return self.inner.select_moves(expl, movable)
-
-    def observe(self, expl: Exploration, events: Sequence[RevealEvent]) -> None:
-        self.inner.observe(expl, events)
-        self._sample(expl)
-
-    def _sample(self, expl: Exploration) -> None:
-        self.series.samples.append(sample_round(expl))
-
-
 def sample_round(expl: Exploration) -> RoundSample:
     """Snapshot the exploration state as one :class:`RoundSample`."""
     ptree = expl.ptree
@@ -104,10 +79,10 @@ def sample_round(expl: Exploration) -> RoundSample:
 class TimeSeriesObserver(RoundObserver):
     """Round-engine observer sampling the exploration state each round.
 
-    The observer equivalent of :class:`TimeSeriesRecorder`: instead of
-    wrapping the algorithm it hooks the engine, so it composes with any
-    algorithm (and any other observer) without changing the algorithm's
-    ``name``.  Samples once on attach and once after every round.
+    It hooks the engine rather than wrapping the algorithm, so it
+    composes with any algorithm (and any other observer) without changing
+    the algorithm's ``name``.  Samples once on attach and once after
+    every round.
     """
 
     def __init__(self) -> None:

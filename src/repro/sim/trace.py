@@ -1,7 +1,7 @@
 """Trace recording and replay.
 
-A :class:`TraceRecorder` wraps any exploration algorithm and logs every
-round's robot positions and moves.  Traces serve three purposes: debugging,
+A :class:`TraceObserver` hooks the round engine and logs every round's
+robot positions and surviving moves.  Traces serve three purposes: debugging,
 golden-file regression tests, and driving visualisations.  A recorded trace
 can be *replayed* against the same tree to verify it is a legal execution
 (every move valid, synchronous semantics respected).
@@ -10,11 +10,11 @@ can be *replayed* against the same tree to verify it is a legal execution
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..trees.partial import PartialTree, RevealEvent
+from ..trees.partial import PartialTree
 from ..trees.tree import Tree
-from .engine import Exploration, ExplorationAlgorithm, Move, TreeRoundState
+from .engine import Exploration, Move, TreeRoundState
 from .runloop import RoundObserver, RoundRecord
 
 
@@ -63,40 +63,12 @@ class Trace:
         return trace
 
 
-class TraceRecorder(ExplorationAlgorithm):
-    """Wraps an algorithm and records its moves round by round."""
-
-    def __init__(self, inner: ExplorationAlgorithm):
-        self.inner = inner
-        self.name = f"traced({inner.name})"
-        self.trace: Trace = Trace(k=0)
-
-    def attach(self, expl: Exploration) -> None:
-        self.trace = Trace(k=expl.k)
-        self.inner.attach(expl)
-
-    def select_moves(self, expl: Exploration, movable: Set[int]) -> Dict[int, Move]:
-        moves = self.inner.select_moves(expl, movable)
-        self.trace.rounds.append(
-            TraceRound(
-                round=expl.round,
-                positions_before=list(expl.positions),
-                moves=dict(moves),
-            )
-        )
-        return moves
-
-    def observe(self, expl: Exploration, events: Sequence[RevealEvent]) -> None:
-        self.inner.observe(expl, events)
-
-
 class TraceObserver(RoundObserver):
     """Round-engine observer that records a replayable :class:`Trace`.
 
-    Unlike :class:`TraceRecorder` (which wraps the algorithm and records
-    the moves as *selected*), this hooks the engine itself and records the
-    moves that *survived* interference — so the trace replays cleanly even
-    for runs under a reactive adversary.  Pass it to ``Simulator`` via the
+    It hooks the engine rather than the algorithm and records the moves
+    that *survived* interference — so the trace replays cleanly even for
+    runs under a reactive adversary.  Pass it to ``Simulator`` via the
     ``observers`` parameter, or use ``--observe trace`` from the CLI.
     """
 

@@ -17,7 +17,12 @@ Covers the PR's contract from both sides of the seam:
 * **Plumbing** — registry validation, scenario fingerprints/round-trips,
   telemetry ``clock`` events and the ``repro tail`` skew section, cached
   async sweeps.
+* **Shared round body** — caps, observer early stops, graceful billed
+  stops, phase timing, schedule validation and per-run state reset, all
+  driven through the asynchronous clock.
 """
+
+import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,12 +43,19 @@ from repro.sim import (
     AdversarialSlowdown,
     AsyncEventScheduler,
     AsyncSimulator,
+    EarlyStop,
+    Exploration,
+    RoundCapExceeded,
+    RoundEngine,
+    RoundObserver,
     Simulator,
+    SpeedSchedule,
     StochasticSpeed,
     SyncRoundScheduler,
     TraceObserver,
     UnitSpeed,
 )
+from repro.sim.engine import AlgorithmPolicy, TreeRoundState
 
 FAMILIES = sorted(registry.TREES)
 
@@ -555,3 +567,121 @@ class TestAsyncSweep:
         run_sweep_cached(["async-cte"], speed="unit", **kwargs)
         second = run_sweep_cached(["async-cte"], speed="stochastic", **kwargs)
         assert second.tracker.hit_rate() == 0.0
+
+
+# ---------------------------------------------------------------------
+# The shared round body, driven by the asynchronous clock
+# ---------------------------------------------------------------------
+
+def async_engine(tree, k, speeds, observers=(), scheduler=None, **config):
+    """A bare async-cte engine on ``tree`` (no ``cap_message`` unless
+    given), returning ``(engine, state)``."""
+    state = TreeRoundState(Exploration(tree, k, True))
+    engine = RoundEngine(
+        state=state,
+        policy=AlgorithmPolicy(registry.make_algorithm("async-cte")),
+        observers=list(observers),
+        scheduler=scheduler if scheduler is not None else AsyncEventScheduler(speeds),
+        **config,
+    )
+    return engine, state
+
+
+class _PhaseCounter(RoundObserver):
+    wants_phase_timing = True
+
+    def __init__(self):
+        self.phases = []
+        self.rounds = 0
+
+    def on_phase_times(self, select_s, apply_s, observe_s):
+        self.phases.append((select_s, apply_s, observe_s))
+
+    def on_round(self, state, record):
+        self.rounds += 1
+        # Exactly one phase report precedes each batch's record.
+        assert len(self.phases) == self.rounds
+
+
+class _ZeroSpeed(SpeedSchedule):
+    name = "zero"
+
+    def duration(self, robot, tick):
+        return 0.0
+
+
+class TestSharedRoundBody:
+    def test_simulator_batch_cap_raises(self):
+        tree = registry.make_tree("random", 120, seed=4)
+        simulator = AsyncSimulator(
+            tree, registry.make_algorithm("async-cte"), 3,
+            AdversarialSlowdown(slow=1, factor=3.0), max_rounds=5,
+        )
+        with pytest.raises(RoundCapExceeded, match="exceeded 5 batches"):
+            simulator.run()
+
+    def test_default_cap_message_names_batches(self):
+        engine, _ = async_engine(
+            registry.make_tree("random", 120, seed=4), 3, UnitSpeed(),
+            billed_cap=4,
+        )
+        with pytest.raises(
+            RoundCapExceeded, match=r"run exceeded its batch cap \(billed=5, wall=5\)"
+        ):
+            engine.run()
+
+    def test_early_stop_reports_observer_reason(self):
+        engine, state = async_engine(
+            registry.make_tree("comb", 100, seed=1), 3,
+            StochasticSpeed(low=0.5, seed=3),
+            observers=[EarlyStop(lambda state, record: record.t == 6, "seven")],
+        )
+        outcome = engine.run()
+        assert outcome.stop_reason == "observer:seven"
+        assert outcome.wall_rounds == 7
+        assert state.clock.batches == 7
+        assert outcome.billed_rounds == state.billed_rounds()
+
+    def test_billed_stop_is_a_graceful_cap(self, caplog):
+        engine, state = async_engine(
+            registry.make_tree("random", 150, seed=2), 4,
+            AdversarialSlowdown(slow=1, factor=4.0), billed_stop=10,
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.sim.scheduler"):
+            outcome = engine.run()
+        assert outcome.stop_reason == "cap"
+        assert outcome.billed_rounds == 10
+        assert any(
+            "10 billed batches >= cap 10" in r.getMessage()
+            for r in caplog.records
+        )
+        state.clock.check()
+
+    def test_phase_timing_once_per_batch(self):
+        counter = _PhaseCounter()
+        result = async_run(
+            registry.make_tree("random", 80, seed=5), 3,
+            StochasticSpeed(low=0.3, seed=1), observers=[counter],
+        )
+        # The final quiescent batch is reported but not billed to the wall.
+        assert counter.rounds == result.clock.batches == result.wall_batches + 1
+        assert len(counter.phases) == counter.rounds
+        assert all(min(p) >= 0.0 for p in counter.phases)
+
+    def test_non_positive_duration_is_rejected(self):
+        with pytest.raises(ValueError, match="non-positive duration for robot 0"):
+            async_run(registry.make_tree("random", 40, seed=1), 2, _ZeroSpeed())
+
+    def test_scheduler_instance_is_reusable(self):
+        tree = registry.make_tree("random", 90, seed=6)
+        scheduler = AsyncEventScheduler(StochasticSpeed(low=0.25, seed=4))
+        summaries, outcomes = [], []
+        for _ in range(2):
+            engine, state = async_engine(
+                tree, 3, None, scheduler=scheduler, billed_cap=10_000,
+            )
+            outcomes.append(engine.run())
+            summaries.append(state.clock.summary())
+        assert summaries[0] == summaries[1]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0].stop_reason == "quiescent"

@@ -15,16 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import BFDN
 from repro.core.reference import ReferenceBFDN
-from repro.sim import Exploration, Simulator, TraceRecorder
+from repro.sim import Exploration, Simulator, TraceObserver
 from repro.trees import Tree
 from repro.trees import generators as gen
 
 
 def traces_match(tree, k):
-    fast = TraceRecorder(BFDN())
-    slow = TraceRecorder(ReferenceBFDN())
-    fast_result = Simulator(tree, fast, k).run()
-    slow_result = Simulator(tree, slow, k).run()
+    fast, slow = TraceObserver(), TraceObserver()
+    fast_result = Simulator(tree, BFDN(), k, observers=[fast]).run()
+    slow_result = Simulator(tree, ReferenceBFDN(), k, observers=[slow]).run()
     assert fast_result.rounds == slow_result.rounds, (
         f"round counts differ: fast {fast_result.rounds} "
         f"vs reference {slow_result.rounds}"

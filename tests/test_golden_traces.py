@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.core import BFDN, WriteReadBFDN
-from repro.sim import Simulator, Trace, TraceRecorder, replay
+from repro.sim import Simulator, Trace, TraceObserver, replay
 from repro.trees.serialization import tree_from_dict
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -44,14 +44,14 @@ def test_golden_trace_is_legal(name):
 def test_current_run_matches_golden(name):
     payload = load(name)
     tree = tree_from_dict(payload["tree"])
-    recorder = TraceRecorder(GOLDEN[name]())
-    res = Simulator(tree, recorder, payload["k"]).run()
+    tracer = TraceObserver()
+    res = Simulator(tree, GOLDEN[name](), payload["k"], observers=[tracer]).run()
     assert res.rounds == payload["rounds"], (
         f"{name}: round count drifted from the golden run "
         f"({res.rounds} != {payload['rounds']})"
     )
     golden_trace = Trace.from_dict(payload["trace"])
-    assert len(recorder.trace.rounds) == len(golden_trace.rounds)
-    for current, golden in zip(recorder.trace.rounds, golden_trace.rounds):
+    assert len(tracer.trace.rounds) == len(golden_trace.rounds)
+    for current, golden in zip(tracer.trace.rounds, golden_trace.rounds):
         assert current.positions_before == golden.positions_before
         assert current.moves == golden.moves

@@ -1,7 +1,7 @@
 """Tests for the ASCII renderer."""
 
 from repro.core import BFDN
-from repro.sim import Exploration, Simulator, TraceRecorder
+from repro.sim import Exploration, Simulator, TraceObserver
 from repro.sim.render import animate, render_state, render_summary
 from repro.trees import generators as gen
 
@@ -43,14 +43,14 @@ class TestSummaryAndAnimate:
 
     def test_animate_frame_count(self):
         tree = gen.complete_ary(2, 3)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
-        frames = list(animate(recorder.trace, tree))
-        assert len(frames) == len(recorder.trace.rounds) + 1
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
+        frames = list(animate(tracer.trace, tree))
+        assert len(frames) == len(tracer.trace.rounds) + 1
 
     def test_animate_limit(self):
         tree = gen.complete_ary(2, 3)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
-        frames = list(animate(recorder.trace, tree, limit=2))
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
+        frames = list(animate(tracer.trace, tree, limit=2))
         assert len(frames) == 3  # initial + 2 rounds

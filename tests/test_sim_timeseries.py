@@ -4,21 +4,21 @@ import pytest
 
 from repro.baselines import OnlineDFS
 from repro.core import BFDN, WriteReadBFDN
-from repro.sim import Simulator, TimeSeriesRecorder
+from repro.sim import Simulator, TimeSeriesObserver
 from repro.trees import generators as gen
 
 
 def record(tree, algo, k):
-    rec = TimeSeriesRecorder(algo)
-    res = Simulator(tree, rec, k).run()
-    return res, rec.series
+    sampler = TimeSeriesObserver()
+    res = Simulator(tree, algo, k, observers=[sampler]).run()
+    return res, sampler.series
 
 
 class TestSampling:
     def test_one_sample_per_round_plus_initial(self):
         tree = gen.complete_ary(2, 4)
         res, series = record(tree, BFDN(), 3)
-        # attach() + one per apply() call; the final all-stay round also
+        # on_attach() + one per round; the final all-stay round also
         # samples, so samples >= rounds + 1.
         assert len(series.samples) >= res.rounds + 1
 

@@ -1,34 +1,34 @@
-"""Unit tests for trace recording and replay."""
+"""Unit tests for trace recording (TraceObserver) and replay."""
 
 import pytest
 
 from repro.core import BFDN
-from repro.sim import Simulator, Trace, TraceRecorder, replay
+from repro.sim import Simulator, Trace, TraceObserver, replay
 from repro.trees import generators as gen
 
 
 class TestRecordAndReplay:
     def test_replay_reproduces_run(self, tree_case):
         label, tree = tree_case
-        recorder = TraceRecorder(BFDN())
-        res = Simulator(tree, recorder, 3).run()
-        rounds, ptree = replay(recorder.trace, tree)
+        tracer = TraceObserver()
+        res = Simulator(tree, BFDN(), 3, observers=[tracer]).run()
+        rounds, ptree = replay(tracer.trace, tree)
         assert rounds == res.rounds
         assert ptree.is_complete() == res.complete
 
     def test_replay_rejects_wrong_tree(self):
         tree = gen.complete_ary(2, 3)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
         other = gen.path(tree.n)
         with pytest.raises(Exception):
-            replay(recorder.trace, other)
+            replay(tracer.trace, other)
 
     def test_replay_detects_tampering(self):
         tree = gen.complete_ary(2, 3)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
-        trace = recorder.trace
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
+        trace = tracer.trace
         # Corrupt a recorded position.
         trace.rounds[1].positions_before[0] += 1
         with pytest.raises(ValueError):
@@ -38,9 +38,9 @@ class TestRecordAndReplay:
 class TestSerialization:
     def test_dict_roundtrip(self):
         tree = gen.spider(3, 4)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
-        data = recorder.trace.to_dict()
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
+        data = tracer.trace.to_dict()
         rebuilt = Trace.from_dict(data)
         rounds, ptree = replay(rebuilt, tree)
         assert ptree.is_complete()
@@ -49,17 +49,18 @@ class TestSerialization:
         import json
 
         tree = gen.star(6)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
-        blob = json.dumps(recorder.trace.to_dict())
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
+        blob = json.dumps(tracer.trace.to_dict())
         rebuilt = Trace.from_dict(json.loads(blob))
         rounds, ptree = replay(rebuilt, tree)
         assert ptree.is_complete()
 
     def test_trace_metadata(self):
         tree = gen.path(5)
-        recorder = TraceRecorder(BFDN())
-        Simulator(tree, recorder, 2).run()
-        assert recorder.trace.k == 2
-        assert recorder.name == "traced(BFDN)"
-        assert recorder.trace.rounds[0].positions_before == [0, 0]
+        tracer = TraceObserver()
+        Simulator(tree, BFDN(), 2, observers=[tracer]).run()
+        assert tracer.trace.k == 2
+        # Rounds are numbered by the billed-round counter before each move.
+        assert [r.round for r in tracer.trace.rounds[:3]] == [0, 1, 2]
+        assert tracer.trace.rounds[0].positions_before == [0, 0]
