@@ -7,7 +7,6 @@ from .asciiplot import line_plot, scatter_loglog
 from .stats import PairedComparison, Replication, compare_paired, replicate
 from .results_io import load_rows, rows_from_csv, rows_to_csv, save_rows
 from .montecarlo import Distribution, SlackStudy, game_length_distribution, overhead_distribution
-from .parallel import Job, JobResult, make_job, run_jobs
 from .sweep import (
     AlgorithmFactory,
     ScenarioRun,
@@ -52,8 +51,4 @@ __all__ = [
     "SlackStudy",
     "overhead_distribution",
     "game_length_distribution",
-    "Job",
-    "JobResult",
-    "make_job",
-    "run_jobs",
 ]

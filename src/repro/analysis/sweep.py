@@ -174,10 +174,6 @@ def record_from_row(row: Dict[str, object]) -> SweepRecord:
     )
 
 
-# Backwards-compatible private alias (pre-scenario name).
-_record_from_row = record_from_row
-
-
 @dataclass
 class ScenarioRun:
     """Outcome of an orchestrated scenario batch: raw rows per job.
@@ -249,7 +245,6 @@ def run_sweep_cached(
     adversary: Optional[str] = None,
     adversary_params: Optional[Dict[str, object]] = None,
     telemetry=None,
-    backend: str = "reference",
     speed: Optional[str] = None,
     speed_params: Optional[Dict[str, object]] = None,
 ) -> SweepRun:
@@ -266,9 +261,7 @@ def run_sweep_cached(
     ``adversary_params``) a break-down or reactive adversary from the
     registry — the scenario kind is inferred per algorithm, so one call
     can sweep adversarial tree scenarios next to graph/game entry
-    points.  ``backend`` selects the round-engine backend for the
-    ``tree``-kind jobs (non-default backends fingerprint separately, so
-    cached reference rows are never reused for an array sweep).
+    points.
 
     ``speed`` (with ``speed_params``) switches async-capable tree
     algorithms to ``async-tree`` scenarios driven by the named speed
@@ -287,7 +280,6 @@ def run_sweep_cached(
         adversary_params=adversary_params,
         max_rounds=max_rounds,
         compute_bounds=True,
-        backend=backend,
         speed=speed,
         speed_params=speed_params,
     )

@@ -55,12 +55,12 @@ from .registry import (
     REANCHOR_POLICIES,
     ROUND_OBSERVERS,
     SPEED_SCHEDULES,
-    TREES,
+    make_tree,
+    tree_families,
     workload_kind,
 )
 from .scenario import ScenarioSpec
 from .sim import Simulator, TraceObserver
-from .sim.backend import BACKENDS, DEFAULT_BACKEND
 from .sim.render import animate
 from .trees import generators as gen
 
@@ -129,7 +129,6 @@ def _explore_spec(args) -> ScenarioSpec:
         adversary=args.adversary,
         adversary_params=_parse_params(args.adversary_param),
         label=f"{args.tree}-n{args.n}",
-        backend=args.backend,
         speed=speed,
         speed_params=_parse_params(getattr(args, "speed_param", None)),
     )
@@ -239,8 +238,9 @@ def cmd_sweep(args) -> int:
     # urn-game on the 'urns' pseudo family (n = Delta).  Partition the
     # requested algorithms by kind and sweep each partition through the
     # same cache/tracker.
+    tree_names = tree_families()
     families_by_kind = {
-        "tree": [f for f in args.trees if f in TREES],
+        "tree": [f for f in args.trees if f in tree_names],
         "graph": [f for f in args.trees if f in GRAPHS],
         "game": [f for f in args.trees if f == GAME_FAMILY],
     }
@@ -293,7 +293,6 @@ def cmd_sweep(args) -> int:
                     adversary=args.adversary if kind == "tree" else None,
                     adversary_params=adversary_params if kind == "tree" else None,
                     telemetry=telemetry,
-                    backend=args.backend if kind == "tree" else "reference",
                     speed=getattr(args, "speed", None) if kind == "tree" else None,
                     speed_params=speed_params if kind == "tree" else None,
                 )
@@ -385,7 +384,6 @@ def cmd_bench(args) -> int:
             repeats=args.repeats,
             only=args.only,
             progress=print,
-            backend=args.backend,
         )
     except ValueError as exc:
         print(f"bench: {exc}")
@@ -438,7 +436,7 @@ def cmd_game(args) -> int:
 
 def cmd_mission(args) -> int:
     """Auto-select the algorithm by guarantee and run the mission."""
-    tree = TREES[args.tree](args.n)
+    tree = make_tree(args.tree, args.n)
     report = run_mission(tree, args.k, prefer_write_read=args.write_read)
     print(report.summary())
     return 0 if report.result.complete else 1
@@ -593,7 +591,6 @@ def cmd_serve(args) -> int:
         burst=args.burst,
         telemetry=telemetry,
         snapshot_every=args.snapshot_every,
-        backend=args.backend,
     )
 
     async def _run() -> None:
@@ -676,7 +673,7 @@ def cmd_load(args) -> int:
 
 def cmd_demo(args) -> int:
     """Animate a small BFDN run frame by frame in the terminal."""
-    tree = TREES[args.tree](args.n)
+    tree = make_tree(args.tree, args.n)
     tracer = TraceObserver()
     Simulator(tree, BFDN(), args.k, observers=[tracer]).run()
     for round_idx, frame in enumerate(animate(tracer.trace, tree, args.rounds)):
@@ -702,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="run one exploration")
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="bfdn")
-    p.add_argument("--tree", choices=sorted(TREES), default="random")
+    p.add_argument("--tree", choices=sorted(tree_families()), default="random")
     p.add_argument("-n", type=int, default=1000, help="tree size")
     p.add_argument("-k", type=int, default=8, help="team size")
     p.add_argument(
@@ -727,10 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--adversary-param", action="append", default=None, metavar="KEY=VALUE",
         dest="adversary_param",
         help="adversary parameter, repeatable (e.g. p=0.5 horizon_per_n=100)",
-    )
-    p.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="round-engine backend (array = flat-array fast path)",
     )
     p.add_argument(
         "--speed", default=None, choices=sorted(SPEED_SCHEDULES),
@@ -767,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trees", nargs="+",
-        choices=sorted(TREES) + sorted(GRAPHS) + [GAME_FAMILY],
+        choices=sorted(tree_families()) + sorted(GRAPHS) + [GAME_FAMILY],
         default=["random", "comb"],
         help="workload families: tree families, graph families, or 'urns'",
     )
@@ -823,10 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="adversary parameter, repeatable (e.g. p=0.5 horizon_per_n=100)",
     )
     p.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="round-engine backend for the tree-kind jobs",
-    )
-    p.add_argument(
         "--speed", default=None, choices=sorted(SPEED_SCHEDULES),
         help="run async-capable tree algorithms asynchronously under "
         "this speed schedule (mutually exclusive with --adversary)",
@@ -875,10 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=25,
         help="--profile: number of functions to print",
     )
-    p.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="round-engine backend for the tree-kind cases",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("figure1", help="draw the Figure 1 region chart")
@@ -900,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mission", help="auto-select the best algorithm for an instance and run it"
     )
-    p.add_argument("--tree", choices=sorted(TREES), default="random")
+    p.add_argument("--tree", choices=sorted(tree_families()), default="random")
     p.add_argument("-n", type=int, default=1000)
     p.add_argument("-k", type=int, default=8)
     p.add_argument("--write-read", action="store_true", dest="write_read")
@@ -1052,11 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=30.0, dest="drain_timeout",
         help="seconds to let queued work finish after SIGINT/SIGTERM",
     )
-    p.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="default round-engine backend applied to tree requests "
-        "that do not name one",
-    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1099,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_load)
 
     p = sub.add_parser("demo", help="animate BFDN on a small tree")
-    p.add_argument("--tree", choices=sorted(TREES), default="random")
+    p.add_argument("--tree", choices=sorted(tree_families()), default="random")
     p.add_argument("-n", type=int, default=15)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--rounds", type=int, default=10, help="frames to show")

@@ -16,7 +16,7 @@ The orchestrator turns the repo's embarrassingly-parallel sweep workloads
   shutdown: the pool drains cleanly (no orphaned workers) and keeps
   every result that settled before the interrupt.
 
-``analysis.parallel.run_jobs``, ``analysis.sweep.run_sweep_cached``, the
+``analysis.sweep.run_sweep_cached``, the
 ``python -m repro sweep`` CLI command and ``tools/run_experiments.py``
 all route through this package.
 """

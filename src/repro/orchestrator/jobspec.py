@@ -79,7 +79,7 @@ class TreeSpec:
         meaningful depends on the job's entry-point kind.
         """
         known = (
-            set(registry.TREES) | set(registry.GRAPHS) | {registry.GAME_FAMILY}
+            set(registry.tree_families()) | set(registry.GRAPHS) | {registry.GAME_FAMILY}
         )
         if family not in known:
             raise ValueError(

@@ -23,7 +23,7 @@ import logging
 import platform
 import pstats
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.runloop import ENGINE_VERSION
@@ -34,9 +34,9 @@ logger = logging.getLogger(__name__)
 #: Schema tag written into (and required of) every snapshot.
 BENCH_SCHEMA = "repro-bench-v1"
 
-#: Fields every per-case measurement must carry.  ``backend`` and
-#: ``engine`` identify what produced the numbers, so ``--compare``
-#: can refuse to treat a backend switch as an engine regression.
+#: Fields every per-case measurement must carry.  ``backend`` (the loop
+#: that ran: ``array`` or ``reference``) and ``engine`` identify what
+#: produced the numbers.
 _CASE_FIELDS = {
     "name": str,
     "kind": str,
@@ -82,9 +82,6 @@ class BenchCase:
     k: int
     algorithm: str = "bfdn"
     quick: bool = False
-    #: Round-engine backend; only ``tree``/``checked`` cases run on the
-    #: backend-selectable engine.
-    backend: str = "reference"
     #: Speed-schedule name for ``async-tree`` cases ("" = unit speeds).
     speed: str = ""
 
@@ -116,7 +113,6 @@ class BenchCase:
             substrate=TreeSpec(family=self.family, n=self.n, seed=0),
             k=self.k,
             label=self.name,
-            backend=self.backend if kind == "tree" else "reference",
             speed=self.speed or None,
         )
 
@@ -222,11 +218,9 @@ def run_case(case: BenchCase, repeats: int = 3) -> Dict[str, Any]:
         "kind": case.kind,
         "family": case.family,
         "algorithm": case.algorithm,
-        # What actually ran: the backend announces itself through the
-        # batch summary, so a declined fast-path request (an
-        # out-of-envelope case) is recorded as ``reference``.
+        # The loop that ran: the array fast path announces itself
+        # through the batch summary.
         "backend": best.get("backend", "reference"),
-        "requested_backend": case.backend,
         "engine": ENGINE_VERSION,
         # The *actual* instance size — named families round the
         # requested n (e.g. maze-n1200 materialises 1224 nodes).
@@ -274,26 +268,10 @@ def run_suite(
     repeats: int = 3,
     only: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    backend: str = "reference",
 ) -> Dict[str, Any]:
-    """Run the pinned suite and return a validated snapshot dict.
-
-    ``backend`` re-points the ``tree``/``checked`` cases at another
-    round-engine backend; graph/game cases have no backend choice and
-    run unchanged (their rows keep ``backend="reference"``).
-    """
+    """Run the pinned suite and return a validated snapshot dict."""
     results = []
     cases = select_cases(quick=quick, only=only)
-    if backend != "reference":
-        from ..sim.backend import validate_backend
-
-        validate_backend(backend)
-        cases = [
-            replace(case, backend=backend)
-            if case.kind in ("tree", "checked")
-            else case
-            for case in cases
-        ]
     logger.info("benchmark suite: %d case(s), repeats=%d, quick=%s",
                 len(cases), repeats, quick)
     for case in cases:
@@ -416,11 +394,6 @@ def compare_snapshots(
     A case regresses when its elapsed grows by more than ``threshold``
     (e.g. ``0.2`` = +20%); a symmetric shrink is reported as improved.
     Cases present in only one snapshot are reported but never fail.
-
-    When a case's recorded ``backend`` differs between the snapshots,
-    the line is loudly annotated as a cross-backend comparison and the
-    delta is never counted as a regression — switching engines is a
-    deliberate act, not timing drift.
     """
     validate_snapshot(old)
     validate_snapshot(new)
@@ -438,15 +411,6 @@ def compare_snapshots(
         new_elapsed = float(case["elapsed"])
         ratio = new_elapsed / old_elapsed if old_elapsed > 0 else float("inf")
         delta = CaseDelta(name, old_elapsed, new_elapsed, ratio)
-        old_backend = before.get("backend", "reference")
-        new_backend = case.get("backend", "reference")
-        if old_backend != new_backend:
-            lines.append(
-                f"{name}: CROSS-BACKEND {old_backend} -> {new_backend}: "
-                f"{old_elapsed:.4f}s -> {new_elapsed:.4f}s "
-                f"({delta.speedup:.2f}x speedup; not a regression gate)"
-            )
-            continue
         tag = ""
         if ratio > 1.0 + threshold:
             tag = f"  REGRESSION (> +{threshold:.0%})"

@@ -26,10 +26,11 @@ from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
 class TimingObserver(RoundObserver):
     """Accumulates per-phase wall time and throughput for one run.
 
-    Batch-capable: a batch-mode backend (``backend=array``) reports one
-    whole-run summary through :meth:`on_batch` instead of per-round
-    records; the fused loop has no select/observe phases, so the
-    backend attributes its simulation time to ``apply``.
+    Batch-capable: the array fast path reports one whole-run summary
+    through :meth:`on_batch` instead of per-round records; its fused
+    loop has no select/observe phases, so it attributes its simulation
+    time to ``apply`` (folded in only when ``wants_phase_timing``, as on
+    the scheduler loop).
     """
 
     wants_phase_timing = True
@@ -43,9 +44,9 @@ class TimingObserver(RoundObserver):
         self.rounds = 0
         self.billed_rounds = 0
         self.reveals = 0
-        #: The backend that actually ran: batch backends announce
-        #: themselves via ``on_batch``; the per-round path means the
-        #: reference loop (including a declined fast-path request).
+        #: The loop that actually ran: the array fast path announces
+        #: itself via ``on_batch``; the per-round path means the
+        #: reference (scheduler) loop.
         self.backend = "reference"
         self.select_s = 0.0
         self.apply_s = 0.0
@@ -80,13 +81,13 @@ class TimingObserver(RoundObserver):
                 pass
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
-        """Fold a batch backend's whole-run summary into the counters."""
+        """Fold the array fast path's whole-run summary into the counters."""
         self.rounds = summary.get("rounds", 0)
         self.billed_rounds = summary.get("billed", 0)
         self.reveals = summary.get("reveals", 0)
         self.backend = summary.get("backend", "reference")
         phases = summary.get("phases")
-        if phases:
+        if phases and self.wants_phase_timing:
             self.select_s = phases.get("select", 0.0)
             self.apply_s = phases.get("apply", 0.0)
             self.observe_s = phases.get("observe", 0.0)

@@ -1,6 +1,6 @@
 """Single registry of every name a scenario can be assembled from.
 
-Historically ``cli.py`` and ``analysis/parallel.py`` each kept their own
+Historically the CLI and the sweep runner each kept their own
 ``ALGORITHMS`` dict; they drifted (the CLI was missing ``bfdn-shortcut``)
 and the orchestrator needs one canonical name space so that job
 fingerprints resolve identically everywhere.  This module is that single
@@ -191,9 +191,6 @@ def tree_families() -> Dict[str, Callable[[int], Tree]]:
     }
 
 
-#: Backwards-compatible alias used by ``cli.py``.
-TREES: Dict[str, Callable[[int], Tree]] = tree_families()
-
 
 # ---------------------------------------------------------------------
 # Non-tree entry points (graph exploration, the urn game)
@@ -247,7 +244,7 @@ _GRAPH_BUILDERS: Dict[str, Callable[[int, int], Graph]] = {
     ),
 }
 
-#: Graph family names (mirrors ``TREES`` for argparse choices).
+#: Graph family names (for argparse choices).
 GRAPHS = tuple(sorted(_GRAPH_BUILDERS))
 
 
@@ -420,11 +417,6 @@ def make_speed_schedule(
 
 #: Re-anchor policy names (Algorithm 1 line 28 and its ablations).
 REANCHOR_POLICIES = ("least-loaded", "most-loaded", "random", "round-robin")
-
-# Engine backend names live next to the other registries so callers can
-# enumerate every run-shaping name from one module; the authority (and
-# the "known names" ValueError) is repro.sim.backend.
-from .sim.backend import BACKENDS, validate_backend  # noqa: E402
 
 
 def make_reanchor_policy(name: str, seed: int = 0):
@@ -623,7 +615,6 @@ __all__ = [
     "ALGORITHMS",
     "ALGORITHM_KNOBS",
     "ASYNC_ALGORITHMS",
-    "BACKENDS",
     "ENTRY_POINTS",
     "GAME_ADVERSARIES",
     "GAME_FAMILY",
@@ -634,7 +625,6 @@ __all__ = [
     "ROUND_OBSERVERS",
     "SHARED_REVEAL",
     "SPEED_SCHEDULES",
-    "TREES",
     "algorithm_knobs",
     "make_algorithm",
     "make_breakdown_adversary",
@@ -648,6 +638,5 @@ __all__ = [
     "make_tree",
     "shared_reveal_default",
     "tree_families",
-    "validate_backend",
     "workload_kind",
 ]

@@ -101,10 +101,6 @@ class ScenarioSpec:
     #: Also compute the theoretical bounds in the worker, so a cache hit
     #: skips *all* recomputation.
     compute_bounds: bool = False
-    #: Round-engine backend for tree scenarios.  The default
-    #: (``reference``) is omitted from the canonical encoding so
-    #: fingerprints of pre-backend specs are unchanged.
-    backend: str = "reference"
     #: Speed schedule for ``async-tree`` scenarios (``None`` resolves to
     #: ``unit``).  Both fields enter the canonical encoding only for the
     #: async kind, so every pre-async fingerprint is unchanged.
@@ -123,20 +119,6 @@ class ScenarioSpec:
             )
         if self.k < 1:
             raise ValueError("team size k must be >= 1")
-        from .sim.backend import DEFAULT_BACKEND, validate_backend
-
-        validate_backend(self.backend)
-        # The array backend declines async schedulers and falls back to
-        # the reference loop, so requesting it for async-tree is legal
-        # (and parity-pinned by tests) rather than an error.
-        if self.backend != DEFAULT_BACKEND and self.kind not in (
-            "tree",
-            "async-tree",
-        ):
-            raise ValueError(
-                f"backend overrides apply to tree scenarios only, "
-                f"got backend={self.backend!r} for kind={self.kind!r}"
-            )
         if self.kind != "async-tree" and (
             self.speed is not None or self.speed_params
         ):
@@ -244,13 +226,7 @@ class ScenarioSpec:
         return self.speed or "unit"
 
     def canonical(self) -> Dict[str, object]:
-        """Canonical encoding: resolved defaults, no presentation fields.
-
-        ``backend`` enters the encoding only when it differs from the
-        default, so every fingerprint minted before backends existed
-        (cache namespaces, pinned golden fingerprints) still resolves to
-        the same run.
-        """
+        """Canonical encoding: resolved defaults, no presentation fields."""
         data = {
             "schema": SCHEMA_VERSION,
             "kind": self.kind,
@@ -266,8 +242,6 @@ class ScenarioSpec:
             "adversary_params": dict(self.adversary_params),
             "params": dict(self.params),
         }
-        if self.backend != "reference":
-            data["backend"] = self.backend
         if self.kind == "async-tree":
             data["speed"] = self.resolved_speed()
             data["speed_params"] = dict(self.speed_params)
@@ -296,7 +270,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, payload: str) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_json` output."""
+        """Rebuild a spec from :meth:`to_json` output.
+
+        Unknown keys are ignored, so payloads written by older versions
+        (e.g. with a ``backend`` field) parse to the same fingerprint.
+        """
         data = json.loads(payload)
         if data.get("schema") != SCHEMA_VERSION:
             raise ValueError(
@@ -324,7 +302,6 @@ class ScenarioSpec:
             max_rounds=data.get("max_rounds"),
             allow_shared_reveal=data.get("allow_shared_reveal"),
             compute_bounds=data.get("compute_bounds", False),
-            backend=data.get("backend", "reference"),
             speed=data.get("speed"),
             speed_params=freeze_params(data.get("speed_params")),
         )
@@ -424,7 +401,9 @@ class BuiltScenario:
             "seed": spec.seed,
             "policy": spec.policy or "",
             "adversary": spec.adversary or "",
-            "backend": spec.backend,
+            # The loop that ran: ``tree`` rows overwrite it from the
+            # timing observer when the array fast path took the run.
+            "backend": "reference",
         }
 
     def _run_tree(self, observers, timing) -> Dict[str, object]:
@@ -451,7 +430,6 @@ class BuiltScenario:
             allow_shared_reveal=spec.shared_reveal(),
             max_rounds=spec.max_rounds,
             observers=observers,
-            backend=spec.backend,
         ).run()
         interior = {
             d: c
@@ -470,10 +448,8 @@ class BuiltScenario:
             max_interior_reanchors=max(interior.values(), default=0),
             elapsed=round(timing.elapsed, 6),
             rounds_per_sec=round(timing.rounds_per_sec(), 1),
-            # The backend that actually ran (a declined fast-path
-            # request falls back to the reference loop).
-            backend=getattr(timing, "backend", spec.backend),
         )
+        row["backend"] = timing.backend
         if adversary is not None:
             from .bounds.guarantees import adversarial_bound
 
@@ -517,7 +493,6 @@ class BuiltScenario:
             allow_shared_reveal=spec.shared_reveal(),
             max_rounds=spec.max_rounds,
             observers=observers,
-            backend=spec.backend,
         ).run()
         clock = result.clock
         row = self._base_row()
@@ -535,7 +510,6 @@ class BuiltScenario:
             slowest_robot=clock.slowest(),
             elapsed=round(timing.elapsed, 6),
             rounds_per_sec=round(timing.rounds_per_sec(), 1),
-            backend=getattr(timing, "backend", spec.backend),
         )
         if spec.compute_bounds:
             from .baselines.offline import (
@@ -698,7 +672,6 @@ def scenario_grid(
     adversary_params: Union[Mapping[str, object], Params, None] = None,
     max_rounds: Optional[int] = None,
     compute_bounds: bool = True,
-    backend: str = "reference",
     speed: Optional[str] = None,
     speed_params: Union[Mapping[str, object], Params, None] = None,
 ) -> "list[ScenarioSpec]":
@@ -709,9 +682,6 @@ def scenario_grid(
     scenarios, with a break-down adversary ``tree`` scenarios; graph and
     game entry points keep their kinds.  This is the shared enumeration
     behind ``run_sweep_cached`` and the ``repro sweep`` CLI.
-
-    ``backend`` selects the round engine for the ``tree``-kind specs in
-    the grid; other kinds have no backend choice and keep the default.
 
     ``speed`` switches the grid to the asynchronous model: tree
     algorithms that are async-capable (``registry.ASYNC_ALGORITHMS``)
@@ -754,9 +724,6 @@ def scenario_grid(
                         adversary_params=frozen if kind in ("tree", "reactive") else (),
                         max_rounds=max_rounds,
                         compute_bounds=compute_bounds,
-                        backend=(
-                            backend if kind in ("tree", "async-tree") else "reference"
-                        ),
                         speed=speed if async_kind else None,
                         speed_params=frozen_speed if async_kind else (),
                     )

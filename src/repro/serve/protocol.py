@@ -58,20 +58,12 @@ class ProtocolError(Exception):
         self.message = message
 
 
-def parse_scenario(
-    data: Mapping[str, Any], default_backend: str = "reference"
-) -> ScenarioSpec:
+def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from a request's ``scenario`` object.
 
     The schema tag is injected when absent; a *foreign* tag is refused
     (it would fingerprint differently and never hit the cache).  Any
     validation failure surfaces as a ``bad_scenario`` protocol error.
-
-    ``default_backend`` is the server's round-engine default, applied to
-    tree scenarios that do not name a backend themselves.  A request
-    naming a backend this server process cannot run (e.g. unknown, or
-    an optional backend whose import failed) is refused up front — a
-    clean 400, never a worker crash.
     """
     if not isinstance(data, Mapping):
         raise ProtocolError("bad_scenario", "scenario must be a JSON object")
@@ -82,25 +74,10 @@ def parse_scenario(
             "bad_scenario",
             f"scenario schema {schema!r} != {SCHEMA_VERSION!r}",
         )
-    if (
-        default_backend != "reference"
-        and "backend" not in payload
-        and payload.get("kind") == "tree"
-    ):
-        payload["backend"] = default_backend
     try:
-        spec = ScenarioSpec.from_json(json.dumps(payload))
+        return ScenarioSpec.from_json(json.dumps(payload))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError("bad_scenario", f"invalid scenario: {exc}") from exc
-    from ..sim.backend import available_backends
-
-    if spec.backend not in available_backends():
-        raise ProtocolError(
-            "bad_scenario",
-            f"backend {spec.backend!r} is not available in this server "
-            f"(available: {', '.join(available_backends())})",
-        )
-    return spec
 
 
 @dataclass(frozen=True)
@@ -113,15 +90,11 @@ class ServeRequest:
     request_id: str = ""
 
     @classmethod
-    def from_payload(
-        cls, payload: Any, client: str = "", default_backend: str = "reference"
-    ) -> "ServeRequest":
+    def from_payload(cls, payload: Any, client: str = "") -> "ServeRequest":
         """Parse a decoded request envelope (raises :class:`ProtocolError`).
 
         ``client`` is the transport's fallback identity (peer name) used
-        when the envelope does not carry its own ``client`` field;
-        ``default_backend`` is the server's round-engine default (see
-        :func:`parse_scenario`).
+        when the envelope does not carry its own ``client`` field.
         """
         if not isinstance(payload, Mapping):
             raise ProtocolError("bad_request", "request must be a JSON object")
@@ -133,7 +106,7 @@ class ServeRequest:
             )
         if "scenario" not in payload:
             raise ProtocolError("bad_request", "request needs a 'scenario' field")
-        spec = parse_scenario(payload["scenario"], default_backend=default_backend)
+        spec = parse_scenario(payload["scenario"])
         return cls(
             spec=spec,
             fingerprint=spec.fingerprint(),

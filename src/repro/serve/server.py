@@ -96,13 +96,7 @@ class ScenarioServer:
         telemetry: Optional[TelemetryConfig] = None,
         snapshot_every: int = 500,
         label: str = "serve",
-        backend: str = "reference",
     ):
-        from ..sim.backend import validate_backend
-
-        #: Round-engine default applied to incoming tree scenarios that
-        #: do not name a backend themselves.
-        self.backend = validate_backend(backend)
         self.store = store
         self.pool = pool or ScenarioPool(
             store,
@@ -502,9 +496,7 @@ class ScenarioServer:
                 return 400, {"ok": False, "status": "bad_request",
                              "error": f"invalid JSON body: {exc}"}
             try:
-                request = ServeRequest.from_payload(
-                    payload, client=peer, default_backend=self.backend
-                )
+                request = ServeRequest.from_payload(payload, client=peer)
             except ProtocolError as exc:
                 response = ServeResponse.failure(exc.status, exc.message)
                 self._finish(_anonymous_request(peer), response, perf_counter())
@@ -583,9 +575,7 @@ class ScenarioServer:
             self._finish(_anonymous_request("unix"), response, perf_counter())
             return await self._write_unix(writer, write_lock, response)
         try:
-            request = ServeRequest.from_payload(
-                payload, client="unix", default_backend=self.backend
-            )
+            request = ServeRequest.from_payload(payload, client="unix")
         except ProtocolError as exc:
             response = ServeResponse.failure(
                 exc.status, exc.message,

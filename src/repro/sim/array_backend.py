@@ -1,9 +1,9 @@
-"""The ``array`` engine backend: flat-array state, event-driven rounds.
+"""The array fast path: flat-array state, event-driven rounds.
 
 The reference loop spends its time in dict lookups and per-object
 bookkeeping: every round builds a move dict, validates it, mutates the
 :class:`~repro.trees.partial.PartialTree` and allocates metrics records.
-This backend replays the *same* algorithm — BFDN with the least-loaded
+This module replays the *same* algorithm — BFDN with the least-loaded
 re-anchor policy, sequential robot order, Claim 2's distinct-port rule —
 against the tree's contiguous :class:`~repro.trees.tree.TreeArrays` view
 (parent/depth/CSR-children tables) with all per-robot and per-node state
@@ -29,15 +29,16 @@ of Algorithm 1 line 20) but open-ness and the heaps are only folded in
 round must see the pre-round open state — exactly the select/apply split
 of the reference engine.
 
-Instead of mutating a ``PartialTree`` per reveal, the backend keeps a
+Instead of mutating a ``PartialTree`` per reveal, the fast path keeps a
 flat discovery log and rebuilds the partial tree *lazily* on first
 access after the run; metrics are likewise accumulated as flat counters
 and decoded into :class:`~repro.sim.metrics.ReanchorRecord` objects on
-demand.  numpy, when installed (the ``repro[fast]`` extra), accelerates
-the batched aggregation paths (per-depth histograms, array mirrors in
-``TreeArrays``); without it the backend runs its pure-python array path
-and logs a one-time notice — it never falls back to the reference loop
-just because numpy is missing.
+demand.
+
+:meth:`repro.sim.runloop.RoundEngine.run` offers every run to
+:meth:`ArrayBackend.execute` first; :func:`_decline_reason` sends any
+run outside the envelope (other algorithms, adversaries, per-round
+observers, async clocks, graph/game states) to the scheduler loop.
 
 Parity contract (pinned by ``tests/test_runloop_regression.py`` and
 ``tests/test_backend_array.py``): final positions, billed/wall rounds,
@@ -50,35 +51,13 @@ counters) are reset, not replayed.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..trees.partial import PartialTree
-from .backend import note_fallback
 from .metrics import ExplorationMetrics, ReanchorRecord
-
-try:  # numpy is the optional ``repro[fast]`` extra
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the masked-numpy test
-    _np = None
-
-logger = logging.getLogger(__name__)
-
-_numpy_noticed = False
-
-
-def _note_numpy_fallback() -> None:
-    """Log the pure-python degradation once per process."""
-    global _numpy_noticed
-    if not _numpy_noticed:
-        _numpy_noticed = True
-        logger.warning(
-            "backend=array: numpy not installed; running the pure-python "
-            "array path (install repro[fast] for vectorized aggregations)"
-        )
 
 
 # ---------------------------------------------------------------------
@@ -93,8 +72,8 @@ class ArrayMetrics(ExplorationMetrics):
     ``ReanchorRecord`` objects (thousands per large run) are only
     materialised if somebody reads ``.reanchors``.  Field-wise the
     object is indistinguishable from the reference metrics; only
-    ``metrics == metrics`` across backends is out of scope (dataclass
-    equality is class-gated).
+    ``metrics == metrics`` across the two loops is out of scope
+    (dataclass equality is class-gated).
     """
 
     def __init__(
@@ -131,13 +110,8 @@ class ArrayMetrics(ExplorationMetrics):
     def reanchors_per_depth(self) -> Dict[int, int]:
         """Per-depth ``Reanchor`` counts without materialising records."""
         if self._materialized is not None:
-            counts = Counter(rec.depth for rec in self._materialized)
-            return dict(counts)
-        depths = [t[3] for t in self._reanchor_log]
-        if _np is not None and depths:
-            bins = _np.bincount(_np.asarray(depths))
-            return {d: int(c) for d, c in enumerate(bins) if c}
-        return dict(Counter(depths))
+            return dict(Counter(rec.depth for rec in self._materialized))
+        return dict(Counter(t[3] for t in self._reanchor_log))
 
     def log_reanchor(self, round_: int, robot: int, anchor: int, depth: int) -> None:
         """Record one anchor assignment (post-run callers only)."""
@@ -161,7 +135,7 @@ class ArrayMetrics(ExplorationMetrics):
 class LazyPartialTree(PartialTree):
     """A :class:`~repro.trees.partial.PartialTree` rebuilt on demand.
 
-    The array backend never mutates a partial tree during the run; it
+    The array fast path never mutates a partial tree during the run; it
     keeps the flat discovery log instead.  Completion queries only need
     the eagerly set scalars (``num_dangling``, ``num_explored``), so the
     common result-row path never pays for the rebuild; the first access
@@ -190,7 +164,7 @@ class LazyPartialTree(PartialTree):
 # ---------------------------------------------------------------------
 
 def _decline_reason(engine) -> Optional[str]:
-    """Why this engine configuration must run on the reference loop
+    """Why this engine configuration must run on the scheduler loop
     (``None`` when the array fast path applies)."""
     from ..core.bfdn import BFDN
     from ..core.reanchor import LeastLoadedPolicy
@@ -249,7 +223,7 @@ def _decline_reason(engine) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------
-# The backend
+# The fast path
 # ---------------------------------------------------------------------
 
 class ArrayBackend:
@@ -268,12 +242,8 @@ class ArrayBackend:
 
     def execute(self, engine) -> Optional[Any]:
         """Run the engine on the fast path, or decline with ``None``."""
-        reason = _decline_reason(engine)
-        if reason is not None:
-            note_fallback(reason)
+        if _decline_reason(engine) is not None:
             return None
-        if _np is None:
-            _note_numpy_fallback()
         return _run(engine)
 
 
@@ -588,7 +558,9 @@ def _run(engine):
         stop_reason=reason,
     )
     summary = {
-        "rounds": billed,
+        # The scheduler loop also reports the final unbilled all-stay
+        # round to ``on_round``; count it the same way.
+        "rounds": billed + (reason == STOP_QUIESCENT),
         "billed": billed,
         "reveals": reveals,
         "backend": "array",

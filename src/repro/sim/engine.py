@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..trees.partial import PartialTree, RevealEvent
 from ..trees.tree import Tree
 from .adversary import BreakdownAdversary, NoBreakdowns
-from .backend import DEFAULT_BACKEND, validate_backend
 from .metrics import ExplorationMetrics
 from .runloop import (
     Interference,
@@ -345,11 +344,6 @@ class Simulator:
     observers:
         Optional :class:`~repro.sim.runloop.RoundObserver` hooks run
         once per round (trace capture, per-round metrics, early stops).
-    backend:
-        Engine backend driving the run (see :mod:`repro.sim.backend`):
-        ``"reference"`` (default) or ``"array"``.  Results are
-        backend-independent by contract; unknown names raise
-        ``ValueError`` here, before any work happens.
     """
 
     def __init__(
@@ -362,7 +356,6 @@ class Simulator:
         max_rounds: Optional[int] = None,
         allow_shared_reveal: bool = False,
         observers: Sequence[RoundObserver] = (),
-        backend: str = DEFAULT_BACKEND,
     ):
         self.tree = tree
         self.algorithm = algorithm
@@ -376,7 +369,6 @@ class Simulator:
         )
         self.allow_shared_reveal = allow_shared_reveal
         self.observers = list(observers)
-        self.backend = validate_backend(backend)
 
     def run(self) -> ExplorationResult:
         """Run the exploration to termination and return the result.
@@ -402,7 +394,6 @@ class Simulator:
                 f"(billed={billed}, wall={wall}) "
                 f"on tree(n={self.tree.n}, D={self.tree.depth}), k={self.k}"
             ),
-            backend=self.backend,
         )
         outcome = engine.run()
         root = self.tree.root

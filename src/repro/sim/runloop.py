@@ -56,7 +56,7 @@ logger = logging.getLogger(__name__)
 
 #: Version tag of the round-stepping kernel, recorded per bench row so a
 #: snapshot can be traced to the engine that produced it.  Bump on any
-#: change to round semantics or the backend/scheduler dispatch.
+#: change to round semantics or the loop/scheduler dispatch.
 #: engine-v3 = the clock moved behind the Scheduler seam: one round body
 #: in ``Scheduler.run``, each clock a set of hooks (sync semantics
 #: unchanged from engine-v2).
@@ -259,11 +259,10 @@ class RoundObserver:
 
     #: Observers that set this to True accept a single :meth:`on_batch`
     #: call summarising a whole run instead of per-round ``on_round``
-    #: records.  A fast backend may only skip materialising per-round
+    #: records.  The array fast path only skips materialising per-round
     #: records when *every* attached observer is batch-capable; with any
-    #: per-round observer attached the engine routes through the
-    #: reference loop, so such observers see identical round events from
-    #: either backend.
+    #: per-round observer attached the run takes the scheduler loop, so
+    #: such observers always see every round.
     supports_batch = False
 
     def on_attach(self, state: RoundState) -> None:
@@ -273,9 +272,10 @@ class RoundObserver:
         """Called after every round with its :class:`RoundRecord`."""
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
-        """Whole-run summary from a batch-mode backend (only when
+        """Whole-run summary from the array fast path (only when
         ``supports_batch``): a dict with at least ``rounds``, ``billed``
-        and ``reveals``.  ``on_stop`` still follows."""
+        and ``reveals``, counted as :meth:`on_round` would have counted
+        them.  ``on_stop`` still follows."""
 
     def on_phase_times(
         self, select_s: float, apply_s: float, observe_s: float
@@ -340,19 +340,18 @@ class RoundEngine:
     bill_quiescent_round:
         Whether the final quiescent round advances the wall clock
         (``False`` matches Algorithm 1's unbilled final all-stay round).
-    backend:
-        Which engine backend drives the run (see
-        :mod:`repro.sim.backend`).  ``"reference"`` is the scheduler
-        loop; ``"array"`` is the flat-array fast path, which falls back
-        to the scheduler loop for configurations outside its envelope.
-        Results are backend-independent by contract.
     scheduler:
         Who owns the clock (see :mod:`repro.sim.scheduler`).  ``None``
         (the default) means the lockstep global round clock
         (``SyncRoundScheduler``); an ``AsyncEventScheduler`` drives
-        per-robot clocks from a speed schedule instead.  Backends only
-        accelerate the synchronous clock, so a non-sync scheduler makes
-        the array backend decline and fall back here.
+        per-robot clocks from a speed schedule instead.
+
+    :meth:`run` picks the loop from the configuration itself: a run
+    inside the flat-array envelope (plain BFDN on a tree, synchronous
+    clock, only batch-capable observers; see
+    :mod:`repro.sim.array_backend`) takes the array fast path, every
+    other run the scheduler's round body.  Both produce the same
+    result, so there is nothing to choose.
     """
 
     state: RoundState
@@ -366,17 +365,15 @@ class RoundEngine:
     quiescence_grace: int = 0
     bill_quiescent_round: bool = False
     cap_message: Optional[Callable[[int, int], str]] = None
-    backend: str = "reference"
     scheduler: Optional[Any] = None
 
     def run(self) -> RunOutcome:
         """Drive the state to termination and return the accounting."""
-        if self.backend == "array":
-            from .array_backend import ArrayBackend
+        from .array_backend import ArrayBackend
 
-            outcome = ArrayBackend.instance().execute(self)
-            if outcome is not None:
-                return outcome
+        outcome = ArrayBackend.instance().execute(self)
+        if outcome is not None:
+            return outcome
         scheduler = self.scheduler
         if scheduler is None:
             from .scheduler import SyncRoundScheduler

@@ -612,10 +612,7 @@ class AsyncSimulator:
         allow_shared_reveal: bool = True,
         max_rounds: Optional[int] = None,
         observers: Sequence[RoundObserver] = (),
-        backend: str = "reference",
     ):
-        from .backend import validate_backend
-
         self.tree = tree
         self.algorithm = algorithm
         self.k = k
@@ -627,7 +624,6 @@ class AsyncSimulator:
             else k * tree_round_cap(tree.n, tree.depth, slack=3 * tree.n + 100)
         )
         self.observers = list(observers)
-        self.backend = validate_backend(backend)
 
     def run(self) -> AsyncExplorationResult:
         """Run the exploration to termination and return the result."""
@@ -650,7 +646,6 @@ class AsyncSimulator:
                 f"(billed={billed}, wall={wall}) "
                 f"on tree(n={self.tree.n}, D={self.tree.depth}), k={self.k}"
             ),
-            backend=self.backend,
         )
         outcome = engine.run()
         clock = state.clock

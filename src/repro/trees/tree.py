@@ -15,25 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy is the optional ``repro[fast]`` extra
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the masked-numpy test
-    _np = None
-
 
 @dataclass(frozen=True)
 class TreeArrays:
-    """Flat-array view of a tree's topology (the array backend's substrate).
+    """Flat-array view of a tree's topology (the array fast path's substrate).
 
     Children are stored CSR-style: the children of ``v`` are
     ``child_list[child_ptr[v]:child_ptr[v + 1]]``, in port order (the
     ``j``-th entry is behind port ``j + 1`` for ``v != root`` and port
     ``j`` at the root).  ``parent``/``depth``/``num_children`` are
-    indexed by node id.  When numpy is available the same buffers are
-    additionally exposed as ``np_*`` ndarrays for batched operations;
-    the plain-list fields always exist, so pure-python consumers need no
-    guard.  Instances are built once per :class:`Tree` and cached — the
-    view is shared (zero-copy) across repeated runs on the same tree.
+    indexed by node id.  Instances are built once per :class:`Tree` and
+    cached — the view is shared (zero-copy) across repeated runs on the
+    same tree.
     """
 
     n: int
@@ -42,15 +35,6 @@ class TreeArrays:
     num_children: Sequence[int]
     child_ptr: Sequence[int]
     child_list: Sequence[int]
-    np_parent: Optional[object] = None
-    np_depth: Optional[object] = None
-    np_num_children: Optional[object] = None
-    np_child_list: Optional[object] = None
-
-    @property
-    def has_numpy(self) -> bool:
-        """Whether the ``np_*`` ndarray mirrors are populated."""
-        return self.np_child_list is not None
 
 
 class Tree:
@@ -206,14 +190,6 @@ class Tree:
         child_list: List[int] = []
         for v in range(n):
             child_list.extend(self._children[v])
-        np_kwargs = {}
-        if _np is not None:
-            np_kwargs = {
-                "np_parent": _np.asarray(self._parents, dtype=_np.int64),
-                "np_depth": _np.asarray(self._depth, dtype=_np.int64),
-                "np_num_children": _np.asarray(num_children, dtype=_np.int64),
-                "np_child_list": _np.asarray(child_list, dtype=_np.int64),
-            }
         arrays = TreeArrays(
             n=n,
             parent=self._parents,
@@ -221,7 +197,6 @@ class Tree:
             num_children=num_children,
             child_ptr=child_ptr,
             child_list=child_list,
-            **np_kwargs,
         )
         self._arrays = arrays
         return arrays

@@ -3,8 +3,8 @@
 Covers the two follow-up algorithms (`repro.algos`) end to end:
 correctness and termination invariants (hypothesis), the budget
 envelopes monitored by :func:`repro.obs.budget.budgets_for_scenario`,
-cross-backend differential parity (the array backend must decline both
-and fall back to byte-identical reference rows), and the registry
+round-loop differential parity (the array fast path must decline both,
+so their rows come from the reference loop), and the registry
 coverage guarantee that every registered algorithm runs through the
 scenario layer.
 """
@@ -26,6 +26,7 @@ from repro.obs.budget import THEOREM10_ALGORITHMS, budgets_for_scenario
 from repro.orchestrator.jobspec import TreeSpec
 from repro.scenario import ScenarioSpec
 from repro.sim import Simulator
+from repro.sim.runloop import RoundObserver
 from repro.trees.generators import random_recursive
 
 import random
@@ -204,25 +205,22 @@ class TestBudgetWiring:
 
 
 class TestBackendParity:
-    """backend=array declines both algorithms and falls back honestly."""
+    """The array fast path declines both algorithms: their rows come from
+    the reference loop whether or not a per-round observer pins it."""
 
     @pytest.mark.parametrize("name", NEW_ALGORITHMS)
     def test_rows_identical_across_backends(self, name):
-        rows = {}
-        for backend in ("reference", "array"):
-            spec = ScenarioSpec(
-                kind="tree", algorithm=name,
-                substrate=TreeSpec.named("comb", 120, seed=3), k=6,
-                backend=backend,
-            )
-            rows[backend] = spec.build().run()
-        ref, arr = rows["reference"], rows["array"]
-        # The effective engine is the reference fallback in both cases...
+        built = ScenarioSpec(
+            kind="tree", algorithm=name,
+            substrate=TreeSpec.named("comb", 120, seed=3), k=6,
+        ).build()
+        ref = built.run(observers=[RoundObserver()])
+        arr = built.run()
+        # The loop that ran is the reference loop in both cases...
         assert ref["backend"] == arr["backend"] == "reference"
-        # ...and every measured quantity matches exactly (only the
-        # fingerprint — which keys the requested backend — and wall-clock
+        # ...and every measured quantity matches exactly (only wall-clock
         # timings may differ).
-        volatile = {"fingerprint", "elapsed", "rounds_per_sec",
+        volatile = {"elapsed", "rounds_per_sec",
                     "cpu_sec", "cpu_user_s", "cpu_sys_s", "max_rss_kb",
                     "energy_j"}
         assert {k: v for k, v in ref.items() if k not in volatile} == {
@@ -239,9 +237,9 @@ class TestBackendParity:
     def test_hypothesis_differential(self, n, seed, k, name):
         tree = random_recursive(n, random.Random(seed))
         results = []
-        for backend in ("reference", "array"):
+        for observers in ([RoundObserver()], []):
             sim = Simulator(
-                tree, registry.make_algorithm(name), k, backend=backend
+                tree, registry.make_algorithm(name), k, observers=observers
             )
             results.append(sim.run())
         a, b = results

@@ -1,59 +1,62 @@
-"""The array round-engine backend: parity, fallback, validation, reporting.
+"""The array fast path: parity, routing, reporting, legacy payloads.
 
-Four contracts pinned here, complementing the golden-trace grid in
+Every run is offered to the array fast path first; runs outside its
+envelope take the reference (scheduler) loop.  A per-round observer
+keeps a run on the reference loop, which is how these tests get the
+reference side of each comparison.  Four contracts pinned here,
+complementing the golden-trace grid in
 ``tests/test_runloop_regression.py``:
 
 * **Parity** — on its supported envelope (BFDN on trees, standard
-  model) the array backend's full observable result — rounds, wall
+  model) the fast path's full observable result — rounds, wall
   rounds, positions, metrics down to the ordered re-anchor log, and the
   rebuilt partial tree — is indistinguishable from the reference loop,
   including under ``stop_when_complete`` and round caps (hypothesis
   hunts for divergence on random trees).
-* **Fallback honesty** — out-of-envelope configurations decline to the
-  reference loop and *report* ``reference`` as the effective backend;
-  with numpy masked out the array backend still runs (pure-python
-  aggregation path) and warns exactly once per process.
-* **Validation** — unknown backend names raise the registry-style
-  "known names" ValueError from every entry point (``validate_backend``,
-  ``Simulator``, ``ScenarioSpec``) and surface as a clean
-  ``bad_scenario`` protocol error from the serve layer.
-* **Fingerprints** — ``backend`` enters the canonical encoding only
-  when non-default, so every fingerprint minted before backends existed
-  still resolves to the same cache entry.
+* **Routing** — out-of-envelope configurations (other algorithms, async
+  clocks, per-round telemetry) run on the reference loop.
+* **Reporting** — result rows name the loop that actually ran.
+* **Legacy payloads** — a ``backend`` key left in a spec payload by an
+  older version is ignored: it parses to the default fingerprint, so
+  every cache entry stays reachable.
 """
 
 import json
-import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BFDN
+from repro.obs.metrics import MetricsObserver
 from repro.orchestrator.jobspec import TreeSpec
 from repro.registry import make_algorithm, make_tree
 from repro.scenario import ScenarioSpec
-from repro.serve.protocol import ProtocolError, parse_scenario
+from repro.serve.protocol import ServeRequest, parse_scenario
 from repro.sim import Simulator
-from repro.sim import array_backend
-from repro.sim.backend import (
-    BACKENDS,
-    available_backends,
-    validate_backend,
-)
-from repro.sim.runloop import RoundCapExceeded
+from repro.sim.array_backend import ArrayMetrics
+from repro.sim.runloop import RoundCapExceeded, RoundObserver
 
-BOTH = sorted(BACKENDS)
+BOTH = ["array", "reference"]
+
+
+def loop_observers(loop):
+    """Observers that pin a run to ``loop``: any per-round observer keeps
+    it on the reference loop; none lets plain BFDN take the fast path."""
+    return [RoundObserver()] if loop == "reference" else []
 
 
 def run_pair(tree, k, **kwargs):
-    """The same exploration under both backends."""
-    ref = Simulator(tree, BFDN(), k, backend="reference", **kwargs).run()
-    arr = Simulator(tree, BFDN(), k, backend="array", **kwargs).run()
+    """The same exploration on the reference loop and the fast path."""
+    ref = Simulator(tree, BFDN(), k, observers=loop_observers("reference"),
+                    **kwargs).run()
+    arr = Simulator(tree, BFDN(), k, **kwargs).run()
+    assert type(arr.metrics) is ArrayMetrics  # the fast path took it
+    assert type(ref.metrics) is not ArrayMetrics
     return ref, arr
 
 
 def assert_identical(ref, arr):
-    """Full observable-result equality across backends."""
+    """Full observable-result equality across the two loops."""
     assert arr.rounds == ref.rounds
     assert arr.wall_rounds == ref.wall_rounds
     assert arr.complete == ref.complete
@@ -106,14 +109,14 @@ class TestParity:
 
 
 class TestAccountingInvariants:
-    """Round accounting holds identically under both backends."""
+    """Round accounting holds identically on both loops."""
 
-    @pytest.mark.parametrize("backend", BOTH)
+    @pytest.mark.parametrize("loop", BOTH)
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 80), seed=st.integers(0, 10**6), k=st.integers(1, 6))
-    def test_moves_plus_idle_equals_rounds(self, backend, n, seed, k):
+    def test_moves_plus_idle_equals_rounds(self, loop, n, seed, k):
         tree = make_tree("random", n, seed=seed)
-        res = Simulator(tree, BFDN(), k, backend=backend).run()
+        res = Simulator(tree, BFDN(), k, observers=loop_observers(loop)).run()
         m = res.metrics
         # Billed never exceeds wall; without an adversary they coincide.
         assert res.rounds <= res.wall_rounds == res.rounds
@@ -124,24 +127,30 @@ class TestAccountingInvariants:
         # Every edge revealed exactly once.
         assert m.reveals == tree.n - 1
 
-    @pytest.mark.parametrize("backend", BOTH)
+    @pytest.mark.parametrize("loop", BOTH)
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(20, 80), seed=st.integers(0, 10**6), cap=st.integers(1, 30))
-    def test_round_cap_raises_identically(self, backend, n, seed, cap):
+    def test_round_cap_raises_identically(self, loop, n, seed, cap):
         tree = make_tree("random", n, seed=seed)
         try:
             Simulator(
-                tree, BFDN(), 2, max_rounds=cap, backend="reference"
+                tree, BFDN(), 2, max_rounds=cap,
+                observers=loop_observers("reference"),
             ).run()
             expected = None
         except RoundCapExceeded as exc:
             expected = str(exc)
+        observers = loop_observers(loop)
         if expected is None:
-            res = Simulator(tree, BFDN(), 2, max_rounds=cap, backend=backend).run()
+            res = Simulator(
+                tree, BFDN(), 2, max_rounds=cap, observers=observers
+            ).run()
             assert res.done
         else:
             with pytest.raises(RoundCapExceeded) as info:
-                Simulator(tree, BFDN(), 2, max_rounds=cap, backend=backend).run()
+                Simulator(
+                    tree, BFDN(), 2, max_rounds=cap, observers=observers
+                ).run()
             assert str(info.value) == expected
 
 
@@ -150,21 +159,21 @@ class TestFallback:
         tree = make_tree("random", 80, seed=0)
         ref = Simulator(
             tree, make_algorithm("cte"), 3, allow_shared_reveal=True,
-            backend="reference",
+            observers=loop_observers("reference"),
         ).run()
         arr = Simulator(
             tree, make_algorithm("cte"), 3, allow_shared_reveal=True,
-            backend="array",
         ).run()
         assert (arr.rounds, arr.positions) == (ref.rounds, ref.positions)
+        assert type(arr.metrics) is not ArrayMetrics
 
     def test_scenario_row_reports_effective_backend(self):
-        # cte declines the array fast path at runtime; the result row
-        # must say so instead of claiming an array run.
+        # cte is outside the fast path's envelope; the result row must
+        # say the reference loop ran.
         spec = ScenarioSpec(
             kind="tree", algorithm="cte",
             substrate=TreeSpec.named("random", 80, seed=0),
-            k=3, seed=0, backend="array", label="fallback",
+            k=3, seed=0, label="fallback",
         )
         row = spec.build().run()
         assert row["backend"] == "reference"
@@ -173,112 +182,23 @@ class TestFallback:
         spec = ScenarioSpec(
             kind="tree", algorithm="bfdn",
             substrate=TreeSpec.named("random", 80, seed=0),
-            k=3, seed=0, backend="array", label="fast",
+            k=3, seed=0, label="fast",
         )
         row = spec.build().run()
         assert row["backend"] == "array"
 
-    def test_numpy_masked_runs_pure_python(self, monkeypatch, caplog):
-        monkeypatch.setattr(array_backend, "_np", None)
-        monkeypatch.setattr(array_backend, "_numpy_noticed", False)
-        tree = make_tree("random", 100, seed=7)
-        with caplog.at_level(logging.WARNING, logger="repro.sim.array_backend"):
-            ref, arr = run_pair(tree, 4)
-            run_pair(tree, 4)  # second run must not warn again
-        assert_identical(ref, arr)
-        warnings = [
-            r for r in caplog.records if "pure-python" in r.getMessage()
-        ]
-        assert len(warnings) == 1
-
-
-class TestValidation:
-    def test_validate_backend_lists_known_names(self):
-        assert validate_backend("array") == "array"
-        with pytest.raises(ValueError, match="known: array, reference"):
-            validate_backend("gpu")
-
-    def test_simulator_rejects_unknown_backend(self):
-        tree = make_tree("random", 10, seed=0)
-        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
-            Simulator(tree, BFDN(), 2, backend="gpu")
-
-    def test_scenario_spec_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
-            ScenarioSpec(
-                kind="tree", algorithm="bfdn",
-                substrate=TreeSpec.named("random", 10, seed=0),
-                k=2, seed=0, backend="gpu",
-            )
-
-    def test_scenario_spec_rejects_backend_on_non_tree_kinds(self):
-        with pytest.raises(ValueError, match="tree scenarios only"):
-            ScenarioSpec(
-                kind="game", algorithm="urn-game",
-                substrate=TreeSpec.named("path", 16, seed=0),
-                k=2, seed=0, backend="array",
-            )
-
-    def test_round_trip_preserves_backend(self):
-        spec = ScenarioSpec(
+    def test_telemetry_observed_row_reports_reference(self):
+        # Per-round telemetry needs every round: a plain BFDN run with a
+        # metrics observer attached stays on the reference loop.
+        built = ScenarioSpec(
             kind="tree", algorithm="bfdn",
-            substrate=TreeSpec.named("random", 10, seed=0),
-            k=2, seed=0, backend="array",
-        )
-        again = ScenarioSpec.from_json(spec.to_json())
-        assert again.backend == "array"
-
-    def test_round_trip_rejects_unknown_backend(self):
-        spec = ScenarioSpec(
-            kind="tree", algorithm="bfdn",
-            substrate=TreeSpec.named("random", 10, seed=0),
-            k=2, seed=0,
-        )
-        payload = json.loads(spec.to_json())
-        payload["backend"] = "cuda"
-        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
-            ScenarioSpec.from_json(json.dumps(payload))
-
-
-class TestServeRefusal:
-    def _payload(self, **extra):
-        spec = ScenarioSpec(
-            kind="tree", algorithm="bfdn",
-            substrate=TreeSpec.named("random", 20, seed=0),
-            k=2, seed=0,
-        )
-        payload = json.loads(spec.to_json())
-        payload.update(extra)
-        return payload
-
-    def test_unknown_backend_is_bad_scenario(self):
-        with pytest.raises(ProtocolError) as info:
-            parse_scenario(self._payload(backend="gpu"))
-        assert info.value.status == "bad_scenario"
-        assert "gpu" in info.value.message
-
-    def test_unavailable_backend_is_bad_scenario(self, monkeypatch):
-        # A backend this *server build* does not carry: valid name,
-        # filtered from availability.
-        monkeypatch.setattr(
-            "repro.sim.backend.available_backends", lambda: ("reference",)
-        )
-        with pytest.raises(ProtocolError) as info:
-            parse_scenario(self._payload(backend="array"))
-        assert info.value.status == "bad_scenario"
-        assert "not available" in info.value.message
-
-    def test_server_default_applies_to_bare_tree_payloads(self):
-        spec = parse_scenario(self._payload(), default_backend="array")
-        assert spec.backend == "array"
-        # An explicit choice wins over the server default.
-        spec = parse_scenario(
-            self._payload(backend="reference"), default_backend="array"
-        )
-        assert spec.backend == "reference"
-
-    def test_available_backends_covers_both(self):
-        assert available_backends() == BACKENDS
+            substrate=TreeSpec.named("random", 80, seed=0),
+            k=3, seed=0,
+        ).build()
+        observer = MetricsObserver()
+        row = built.run(observers=[observer])
+        assert row["backend"] == "reference"
+        assert row["rounds"] == built.run()["rounds"]
 
 
 class TestFingerprints:
@@ -291,24 +211,32 @@ class TestFingerprints:
         base.update(kw)
         return ScenarioSpec(**base)
 
-    def test_default_backend_leaves_fingerprint_unchanged(self):
-        # Pre-backend specs (no field at all) and explicit reference
-        # must share a fingerprint, or every cache namespace would split.
-        assert "backend" not in self._spec().canonical()
-        assert (
-            self._spec().fingerprint()
-            == self._spec(backend="reference").fingerprint()
-        )
+    def _payload(self, **extra):
+        payload = json.loads(self._spec().to_json())
+        payload.update(extra)
+        return payload
 
-    def test_array_backend_fingerprints_separately(self):
-        assert (
-            self._spec(backend="array").fingerprint()
-            != self._spec().fingerprint()
+    def test_default_backend_leaves_fingerprint_unchanged(self):
+        # Specs never carried the loop in their canonical encoding, and
+        # a payload naming the old default still maps to the same run.
+        assert "backend" not in self._spec().canonical()
+        legacy = ScenarioSpec.from_json(
+            json.dumps(self._payload(backend="reference"))
         )
-        assert self._spec(backend="array").canonical()["backend"] == "array"
+        assert legacy.fingerprint() == self._spec().fingerprint()
+
+    def test_legacy_array_backend_key_parses_to_default_fingerprint(self):
+        expected = self._spec().fingerprint()
+        payload = self._payload(backend="array")
+        assert ScenarioSpec.from_json(json.dumps(payload)).fingerprint() == expected
+        assert parse_scenario(payload).fingerprint() == expected
+        request = ServeRequest.from_payload({"scenario": payload})
+        assert request.fingerprint == expected
 
     def test_rows_agree_semantically_across_backends(self):
-        ref = self._spec().build().run()
-        arr = self._spec(backend="array").build().run()
+        built = self._spec().build()
+        ref = built.run(observers=loop_observers("reference"))
+        arr = built.run()
+        assert (ref["backend"], arr["backend"]) == ("reference", "array")
         for col in ("rounds", "wall_rounds", "complete", "all_home"):
             assert arr[col] == ref[col], col

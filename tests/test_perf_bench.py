@@ -21,7 +21,9 @@ from repro.perf import (
     validate_snapshot,
     write_snapshot,
 )
+from repro.registry import make_tree
 from repro.sim import Simulator
+from repro.sim.runloop import RoundLog
 from repro.trees import generators as gen
 
 QUICK_CASE = "bfdn/random-n300-k4"
@@ -70,6 +72,21 @@ class TestTimingObserver:
         snap = timing.snapshot()
         assert snap["elapsed"] > 0  # run clock still ticks
         assert snap["phases"] == {"select": 0.0, "apply": 0.0, "observe": 0.0}
+
+    @pytest.mark.parametrize("family", ["random", "star", "comb"])
+    def test_counters_agree_across_loops(self, family):
+        # A plain BFDN run takes the array fast path (one batch summary);
+        # a per-round observer pins the same run to the reference loop.
+        # Both must count rounds — the final unbilled quiescent round
+        # included — billed rounds and reveals alike.
+        tree = make_tree(family, 300, seed=1)
+        fast, ref = TimingObserver(), TimingObserver()
+        Simulator(tree, BFDN(), 4, observers=[fast]).run()
+        Simulator(tree, BFDN(), 4, observers=[ref, RoundLog()]).run()
+        assert (fast.backend, ref.backend) == ("array", "reference")
+        fast_snap, ref_snap = fast.snapshot(), ref.snapshot()
+        for key in ("rounds", "billed_rounds", "reveals"):
+            assert fast_snap[key] == ref_snap[key], key
 
 
 class TestSuiteSelection:

@@ -22,10 +22,11 @@ class TestAlgorithms:
 
     def test_cli_and_parallel_use_the_registry(self):
         from repro import cli
-        from repro.analysis import parallel
+        from repro.orchestrator import jobspec
 
         assert cli.ALGORITHMS is registry.ALGORITHMS
-        assert parallel.ALGORITHMS is registry.ALGORITHMS
+        # The parallel sweep runner resolves job names through it too.
+        assert jobspec.registry is registry
 
     def test_every_algorithm_completes_a_small_run(self):
         tree = registry.make_tree("comb", 30)
@@ -41,7 +42,7 @@ class TestAlgorithms:
 
 class TestTrees:
     def test_every_family_builds(self):
-        for family in registry.TREES:
+        for family in registry.tree_families():
             tree = registry.make_tree(family, 40)
             assert tree.n >= 1
 

@@ -8,10 +8,11 @@ same seeded workloads through the adapters and require byte-identical
 results — rounds, wall rounds, completion flags, move/interference
 accounting, even the game's full move history.
 
-The simulator grid runs under **both** engine backends: ``array`` must
-reproduce the reference loop's goldens byte for byte (its parity
-contract), and configurations outside its envelope (cte's shared
-reveal, dfs) must fall back to reference results rather than diverge.
+The simulator grid runs on **both** round loops: with no observer, a
+plain BFDN run takes the array fast path, which must reproduce the
+reference loop's goldens byte for byte (its parity contract), and runs
+outside its envelope (cte's shared reveal, dfs) take the reference
+loop.  A per-round observer pins a run to the reference loop.
 """
 
 import json
@@ -35,6 +36,7 @@ from repro.sim import (
     Simulator,
     run_reactive,
 )
+from repro.sim.runloop import RoundObserver
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runloop_golden.json"
 
@@ -53,13 +55,14 @@ SIM_GRID = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["reference", "array"])
+@pytest.mark.parametrize("loop", ["reference", "array"])
 @pytest.mark.parametrize("family,n,k,alg", SIM_GRID)
-def test_simulator_matches_pre_refactor(golden, family, n, k, alg, backend):
+def test_simulator_matches_pre_refactor(golden, family, n, k, alg, loop):
     tree = make_tree(family, n, seed=3)
     result = Simulator(
         tree, make_algorithm(alg), k,
-        allow_shared_reveal=(alg == "cte"), backend=backend,
+        allow_shared_reveal=(alg == "cte"),
+        observers=[RoundObserver()] if loop == "reference" else [],
     ).run()
     m = result.metrics
     assert [

@@ -146,7 +146,7 @@ def scenario_specs(draw):
     if kind in ("tree", "reactive"):
         algorithm = draw(st.sampled_from(sorted(registry.ALGORITHMS)))
         substrate = TreeSpec.named(
-            draw(st.sampled_from(sorted(registry.TREES))),
+            draw(st.sampled_from(sorted(registry.tree_families()))),
             draw(st.integers(min_value=2, max_value=64)),
             seed=draw(st.integers(min_value=0, max_value=3)),
         )
@@ -175,7 +175,7 @@ def scenario_specs(draw):
     elif kind == "async-tree":
         algorithm = draw(st.sampled_from(sorted(registry.ASYNC_ALGORITHMS)))
         substrate = TreeSpec.named(
-            draw(st.sampled_from(sorted(registry.TREES))),
+            draw(st.sampled_from(sorted(registry.tree_families()))),
             draw(st.integers(min_value=2, max_value=64)),
             seed=draw(st.integers(min_value=0, max_value=3)),
         )
