@@ -2,13 +2,17 @@
 
 Two layers:
 
-* :func:`run_tasks` — a generic resilient pool.  Each task runs in its
-  own worker process (one ``multiprocessing.Process`` per attempt) so a
-  hanging job can be *killed* on timeout and a crashing job (segfault,
-  ``os._exit``, OOM-kill) takes down only its own process — never the
-  sweep.  Failed attempts are retried with exponential backoff up to a
-  bounded retry budget.  ``max_workers <= 1`` runs inline (no processes,
-  no timeout enforcement) for tests and fork-less platforms.
+* :func:`run_tasks` — a generic resilient pool.  Each call keeps up to
+  ``max_workers`` worker processes alive and feeds them tasks over a
+  pipe, one at a time, so a sweep of many small jobs pays for a fork per
+  worker, not per job.  Isolation is per process, as before: a hanging
+  job has its worker *killed* on timeout and a crashing job (segfault,
+  ``os._exit``, OOM-kill) takes down only its own worker — never the
+  sweep; either way the next task gets a freshly forked worker.  An
+  ordinary exception leaves the worker running.  Failed attempts are
+  retried with exponential backoff up to a bounded retry budget.
+  ``max_workers <= 1`` runs inline (no processes, no timeout
+  enforcement) for tests and fork-less platforms.
 * :func:`run_jobspecs` — the content-addressed layer on top: consults a
   :class:`~repro.orchestrator.store.ResultStore` before running anything,
   deduplicates identical fingerprints within one sweep, and records every
@@ -27,6 +31,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
 from multiprocessing.connection import wait as _conn_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .events import ProgressTracker, SweepEvent
@@ -36,8 +41,9 @@ from .store import ResultStore
 
 logger = logging.getLogger(__name__)
 
-#: Upper bound on the default pool size (per-job processes are cheap but
-#: sweeps gain little beyond this on the benchmark machines).
+#: Upper bound on the default pool size (each worker is forked once per
+#: ``run_tasks`` call; sweeps gain little beyond this on the benchmark
+#: machines).
 _MAX_DEFAULT_WORKERS = 8
 
 
@@ -55,21 +61,44 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _child_main(conn, worker: Callable[[Any], Any], payload: Any) -> None:
-    """Worker-process entry point: run one task, ship back the outcome."""
-    try:
-        result = worker(payload)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - isolation boundary
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _worker_main(conn, worker: Callable[[Any], Any], inherited) -> None:
+    """Worker-process loop: run payloads until told to stop.
+
+    ``inherited`` holds the parent-side pipe ends this process got from
+    the fork (its own and those of the workers started before it).  They
+    are closed first: once only the parent holds the other end of each
+    worker's pipe, a parent that dies reads as EOF in every worker.
+    """
+    for end in inherited:
+        end.close()
+    while True:
         try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
+            kind, payload = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):  # parent gone, or ^C
+            break
+        if kind == "stop":
+            break
         try:
-            conn.close()
-        except Exception:
-            pass
+            reply = ("ok", worker(payload))
+        except Exception as exc:  # isolation boundary: the worker lives on
+            reply = ("err", _describe(exc))
+        except BaseException as exc:  # SystemExit & co: report, then exit
+            reply = ("exit", _describe(exc))
+        try:
+            data = ForkingPickler.dumps(reply)
+        except Exception as exc:  # an unpicklable result fails its task
+            data = ForkingPickler.dumps(("err", _describe(exc)))
+        try:
+            conn.send_bytes(data)
+        except OSError:
+            break
+        if reply[0] == "exit":
+            break
+    conn.close()
 
 
 @dataclass
@@ -101,11 +130,13 @@ class _Pending:
 
 
 @dataclass
-class _Running:
-    item: _Pending
+class _Worker:
+    """One live worker process and the task it is running, if any."""
+
     process: Any
     conn: Any
-    started: float
+    item: Optional[_Pending] = None
+    started: float = 0.0
 
 
 def _emit(tracker: Optional[ProgressTracker], **kwargs) -> None:
@@ -155,14 +186,22 @@ def run_tasks(
     ----------
     payloads:
         Task inputs; ``worker`` and each payload must be picklable when
-        ``max_workers > 1`` (workers run in separate processes).
+        ``max_workers > 1`` (workers run in separate processes and the
+        payloads and results cross a pipe).
     max_workers:
-        Process slots.  ``<= 1`` runs inline in this process — fast for
-        tiny jobs, but without timeout enforcement or crash isolation.
-        ``None`` picks ``min(cpu_count, 8)``.
+        Worker processes, forked as tasks need them and reused from one
+        task to the next until the call returns; the workers are stopped
+        and joined before it does.  A worker runs one task at a time; a
+        ``SystemExit``/``KeyboardInterrupt`` escaping the task is
+        reported as its error and ends that worker.  ``<= 1`` runs
+        inline in this process — fast for tiny jobs, but without timeout
+        enforcement or crash isolation.  ``None`` picks
+        ``min(cpu_count, 8)``.
     timeout:
-        Per-*attempt* wall-clock budget in seconds; an attempt past it is
-        killed and counts as a failure (then retried, if budget remains).
+        Per-*attempt* wall-clock budget in seconds; an attempt past it
+        has its worker killed and counts as a failure (then retried, if
+        budget remains).  A worker that dies or is killed is replaced by
+        a fresh one for the next task.
     retries:
         Additional attempts allowed after the first (``1`` → at most two
         attempts per task).
@@ -183,7 +222,8 @@ def run_tasks(
         between scheduling decisions (default: the process-wide flag
         that :func:`~repro.orchestrator.signals.graceful_shutdown`
         binds to SIGINT/SIGTERM).  Once set, no new attempt starts,
-        running worker processes are terminated and reaped, and every
+        running worker processes are terminated, idle ones are told to
+        stop, all of them are reaped, and every
         task that never produced a result is returned as failed with
         an "interrupted by shutdown" error — results that settled
         before the interrupt are kept (and were already flushed via
@@ -318,38 +358,57 @@ def _run_pooled(
         for i, p in enumerate(payloads)
     )
     delayed: List[_Pending] = []
-    running: List[_Running] = []
+    running: List[_Worker] = []
+    idle: List[_Worker] = []
 
-    def start(item: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
+        inherited = [parent_conn] + [w.conn for w in running + idle]
         process = ctx.Process(
-            target=_child_main, args=(child_conn, worker, item.payload), daemon=True
+            target=_worker_main, args=(child_conn, worker, inherited),
+            daemon=True,
         )
         process.start()
         child_conn.close()
-        running.append(
-            _Running(item=item, process=process, conn=parent_conn,
-                     started=time.monotonic())
-        )
+        return _Worker(process=process, conn=parent_conn)
+
+    def start(item: _Pending) -> None:
+        slot = idle.pop() if idle else spawn()
+        slot.item = item
+        # Stamped before the send: the child may run the whole task
+        # before this process is scheduled again.
+        slot.started = time.monotonic()
+        try:
+            slot.conn.send(("run", item.payload))
+        except OSError:  # the idle worker died under us
+            retire(slot)
+            settle(slot, "crashed", None, "worker process died "
+                   f"(exitcode {slot.process.exitcode})")
+            return
+        except Exception as exc:  # an unpicklable payload fails its task
+            idle.append(slot)
+            settle(slot, "error", None, _describe(exc))
+            return
+        running.append(slot)
         _emit(tracker, kind="started", label=item.label, attempt=item.attempt,
               **ids.for_index(item.index))
 
-    def reap(slot: _Running) -> None:
-        try:
-            slot.conn.close()
-        except Exception:
-            pass
+    def retire(slot: _Worker) -> None:
+        """Close, join and forget a worker that exited or was terminated."""
+        if slot in running:
+            running.remove(slot)
+        slot.conn.close()
         slot.process.join(timeout=5)
         if slot.process.is_alive():  # pragma: no cover - last resort
-            slot.process.terminate()
+            slot.process.kill()
             slot.process.join(timeout=5)
 
-    def settle(slot: _Running, status: str, result: Any, error: str,
+    def settle(slot: _Worker, status: str, result: Any, error: str,
                timed_out: bool = False) -> None:
         """Record a finished attempt: success, retry, or final failure."""
-        running.remove(slot)
         elapsed = time.monotonic() - slot.started
         item = slot.item
+        slot.item = None
         stamp = ids.for_index(item.index)
         if status == "done":
             outcome = TaskOutcome(
@@ -428,12 +487,15 @@ def _run_pooled(
                         kind, payload = slot.conn.recv()
                     except (EOFError, OSError):
                         # Child died without reporting: crash isolation.
-                        reap(slot)
-                        code = slot.process.exitcode
-                        settle(slot, "crashed", None,
-                               f"worker process died (exitcode {code})")
+                        retire(slot)
+                        settle(slot, "crashed", None, "worker process died "
+                               f"(exitcode {slot.process.exitcode})")
                         continue
-                    reap(slot)
+                    if kind == "exit":
+                        retire(slot)
+                    else:
+                        running.remove(slot)
+                        idle.append(slot)
                     if kind == "ok":
                         settle(slot, "done", payload, "")
                     else:
@@ -442,16 +504,19 @@ def _run_pooled(
                     time.monotonic() - slot.started
                 ) > timeout:
                     slot.process.terminate()
-                    reap(slot)
+                    retire(slot)
                     settle(slot, "timeout", None,
                            f"timed out after {timeout:.1f}s", timed_out=True)
     finally:
         for slot in running:
+            slot.process.terminate()
+        for slot in idle:
             try:
-                slot.process.terminate()
-            except Exception:
+                slot.conn.send(("stop", None))
+            except OSError:
                 pass
-            reap(slot)
+        for slot in running + idle:
+            retire(slot)
 
     # Tasks pre-empted by a shutdown request (still pending, delayed, or
     # terminated while running) settle as interrupted failures; every

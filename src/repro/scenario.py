@@ -248,13 +248,22 @@ class ScenarioSpec:
         return data
 
     def fingerprint(self) -> str:
-        """Stable sha256 hex digest of the canonical encoding."""
-        import hashlib
+        """Stable sha256 hex digest of the canonical encoding.
 
-        payload = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        Computed once per instance and kept in its ``__dict__`` (not a
+        field, so equality and hashing ignore it); a pickled spec
+        carries the digest with it into a pool worker.
+        """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            import hashlib
+
+            payload = json.dumps(
+                self.canonical(), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            self.__dict__["_fingerprint"] = digest
+        return digest
 
     # -- serialization -------------------------------------------------
 
@@ -350,11 +359,12 @@ class BuiltScenario:
         else:  # game
             self.delta = max(1, spec.substrate.n)
             self.size = self.delta
-        logger.debug(
-            "built %s scenario %s (algorithm=%s, k=%d, size=%d)",
-            kind, spec.label or spec.fingerprint()[:12], spec.algorithm,
-            spec.k, self.size,
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "built %s scenario %s (algorithm=%s, k=%d, size=%d)",
+                kind, spec.label or spec.fingerprint()[:12], spec.algorithm,
+                spec.k, self.size,
+            )
 
     # -- per-kind runners ---------------------------------------------
 

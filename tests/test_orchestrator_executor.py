@@ -15,6 +15,7 @@ from repro.orchestrator import (
     run_jobspecs,
     run_tasks,
 )
+from repro.scenario import ScenarioSpec
 from repro.sim.engine import ExplorationAlgorithm
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -61,6 +62,37 @@ def grid(ks=(2, 3), family="comb", n=60, **overrides):
         JobSpec(tree=TreeSpec.named(family, n), k=k, label=f"{family}-k{k}", **base)
         for k in ks
     ]
+
+
+#: Row columns that measure the run (time, resources), not its result.
+_MEASURED = {"elapsed", "rounds_per_sec", "max_rss_kb", "energy_j"}
+
+
+def _stable(row):
+    return {
+        key: value for key, value in row.items()
+        if key not in _MEASURED and not key.startswith("cpu_")
+    }
+
+
+def sweep_scenarios():
+    """Every sweep algorithm on a few families, async-cte stochastic."""
+    specs = []
+    for i, algorithm in enumerate(
+        ("bfdn", "cte", "tree-mining", "potential-cte", "async-cte")
+    ):
+        for family in ("random", "spider"):
+            async_kind = algorithm == "async-cte"
+            specs.append(ScenarioSpec(
+                kind="async-tree" if async_kind else "tree",
+                algorithm=algorithm,
+                substrate=TreeSpec.named(family, 120, seed=i),
+                k=4,
+                seed=i,
+                speed="stochastic" if async_kind else None,
+                label=f"{algorithm}/{family}",
+            ))
+    return specs
 
 
 class TestCaching:
@@ -202,12 +234,15 @@ class TestFaultTolerance:
 
     @needs_fork
     def test_pooled_results_match_inline(self):
-        specs = grid(ks=(2, 3, 4))
+        # One reused worker runs many jobs: no per-process state may leak
+        # from one job's row into the next.
+        specs = grid(ks=(2, 3, 4)) + sweep_scenarios()
         inline = run_jobspecs(specs, max_workers=0)
         pooled = run_jobspecs(specs, max_workers=2)
-        assert [o.row["rounds"] for o in inline] == [
-            o.row["rounds"] for o in pooled
-        ]
+        assert all(o.status == "done" for o in inline + pooled)
+        for spec, a, b in zip(specs, inline, pooled):
+            assert a.row["fingerprint"] == spec.fingerprint()
+            assert _stable(a.row) == _stable(b.row)
 
 
 class TestStreamingPersistence:
@@ -278,6 +313,157 @@ class TestRunTasks:
 def _square(x):
     """Top-level worker (picklable for pooled runs)."""
     return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _faulty(payload):
+    """Record this worker's pid, then fail as ``payload`` says."""
+    kind, path = payload
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    if kind == "crash":
+        os._exit(7)
+    if kind == "hang":
+        time.sleep(60)
+    if kind == "exit":
+        raise SystemExit(3)
+    raise ValueError("ordinary failure")
+
+
+def _pid_or_fault(payload):
+    return _pid(payload) if payload is None else _faulty(payload)
+
+
+def _timed_sleep(seconds):
+    """Sleep; report the worker's own run span and its end (epoch s)."""
+    start = time.perf_counter()
+    time.sleep(seconds)
+    return time.perf_counter() - start, time.time()
+
+
+def _alive(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+@needs_fork
+class TestWorkerReuse:
+    def test_workers_serve_many_tasks(self):
+        out = run_tasks([None] * 12, _pid, max_workers=2)
+        assert all(o.ok for o in out)
+        assert len({o.result for o in out}) <= 2
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("kind, error", [
+        ("crash", "worker process died (exitcode 7)"),
+        ("hang", "timed out after 1.0s"),
+        ("exit", "SystemExit: 3"),
+    ])
+    def test_faulted_worker_is_replaced(self, tmp_path, kind, error):
+        path = str(tmp_path / "faulted.pid")
+        payloads = [(kind, path)] + [None] * 8
+        out = run_tasks(payloads, _pid_or_fault, max_workers=2,
+                        timeout=1.0, retries=0)
+        assert out[0].status == "failed" and out[0].error == error
+        assert out[0].timed_out == (kind == "hang")
+        assert all(o.ok for o in out[1:])
+        pids = {o.result for o in out[1:]}
+        with open(path) as handle:
+            assert int(handle.read()) not in pids
+        assert len(pids) <= 2
+        assert not multiprocessing.active_children()
+
+    def test_ordinary_exception_keeps_the_worker(self, tmp_path):
+        path = str(tmp_path / "raised.pid")
+        out = run_tasks([("raise", path)] + [None] * 11, _pid_or_fault,
+                        max_workers=2, retries=0)
+        assert out[0].error == "ValueError: ordinary failure"
+        assert all(o.ok for o in out[1:])
+        with open(path) as handle:
+            raiser = int(handle.read())
+        # A replacement worker would make a third pid.
+        assert len({raiser} | {o.result for o in out[1:]}) <= 2
+
+    def test_unpicklable_payload_fails_only_its_task(self):
+        import threading
+
+        out = run_tasks([threading.Lock(), None, None], _pid, max_workers=2,
+                        retries=0)
+        assert out[0].status == "failed" and "pickle" in out[0].error
+        assert all(o.ok for o in out[1:])
+        assert not multiprocessing.active_children()
+
+    def test_returns_promptly_and_reaps_every_worker(self):
+        out = run_tasks([0.2] * 6, _timed_sleep, max_workers=2)
+        returned = time.time()
+        assert all(o.ok for o in out)
+        assert returned - max(o.result[1] for o in out) < 1.0
+        assert not multiprocessing.active_children()
+
+    def test_elapsed_covers_the_workers_own_span(self):
+        out = run_tasks([0.0, 0.01, 0.0, 0.02] * 5, _timed_sleep,
+                        max_workers=2)
+        for outcome in out:
+            assert outcome.elapsed >= outcome.result[0]
+
+
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro.orchestrator import run_tasks
+
+def nap(path):
+    with open(path, "a") as handle:
+        print(os.getpid(), file=handle)
+    time.sleep(0.3)
+
+run_tasks([sys.argv[1]] * 200, nap, max_workers=3)
+"""
+
+
+@needs_fork
+def test_workers_exit_when_the_parent_is_killed(tmp_path):
+    import signal
+    import subprocess
+    import sys
+
+    pids_file = tmp_path / "pids"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.join(os.path.dirname(__file__), "..", "src")
+        + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, str(pids_file)], env=env
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        pids = set()
+        while len(pids) < 3:
+            assert proc.poll() is None, "run_tasks returned too early"
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.05)
+            if pids_file.exists():
+                pids = {int(p) for p in pids_file.read_text().split()}
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    deadline = time.monotonic() + 5.0
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if _alive(pid)]
 
 
 class TestEvents:

@@ -281,6 +281,29 @@ class TestFingerprint:
         )
         assert job.fingerprint() == tree_spec().fingerprint()
 
+    def test_digest_computed_once_and_pickled(self, monkeypatch):
+        import pickle
+
+        spec = tree_spec(label="memo")
+        digest = spec.fingerprint()
+        copy = pickle.loads(pickle.dumps(spec))
+        calls = []
+        original = ScenarioSpec.canonical
+        monkeypatch.setattr(
+            ScenarioSpec, "canonical",
+            lambda self: calls.append(self) or original(self),
+        )
+        assert spec.fingerprint() == digest
+        assert copy.fingerprint() == digest
+        assert run_scenario(copy)["fingerprint"] == digest
+        assert calls == []
+        relabelled = spec.with_label("other")
+        assert relabelled.fingerprint() == digest
+        assert copy == spec and hash(copy) == hash(spec)
+        assert relabelled != spec
+        assert tree_spec(label="memo") == spec
+        assert hash(tree_spec(label="memo")) == hash(spec)
+
 
 class TestRunParity:
     def test_tree_row_matches_direct_simulation(self):

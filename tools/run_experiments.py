@@ -1,7 +1,7 @@
 """Run the full experiment registry and archive the results.
 
 Experiments are fanned over the orchestrator's resilient worker pool
-(`repro.orchestrator.run_tasks`): each experiment runs in its own
+(`repro.orchestrator.run_tasks`): each experiment runs in a pool worker
 process under an optional per-experiment timeout with bounded retries,
 so one hanging or crashing experiment is reported as failed without
 aborting the archive run.
