@@ -9,7 +9,7 @@ Commands
 ``tail``      summarise a telemetry trace (rounds/sec, budget margins)
 ``figure1``   draw the Figure 1 region chart
 ``game``      play the balls-in-urns game and report Theorem 3's numbers
-``serve``     long-running scenario server (HTTP + unix socket, cached)
+``serve``     long-running scenario server (HTTP, cached)
 ``load``      closed-loop load generator against a running server
 ``demo``      animate BFDN on a small tree, frame by frame
 
@@ -567,13 +567,6 @@ def cmd_serve(args) -> int:
 
     from .serve import ScenarioServer
 
-    # HTTP is on by default; ``--host none`` serves the unix socket only.
-    host: Optional[str] = args.host or "127.0.0.1"
-    if args.host == "none":
-        host = None
-        if args.socket is None:
-            print("serve: --host none needs --socket")
-            return 2
     telemetry = (
         TelemetryConfig.create(args.telemetry) if args.telemetry else None
     )
@@ -585,39 +578,33 @@ def cmd_serve(args) -> int:
         store,
         workers=args.jobs,
         queue_depth=args.queue_depth,
-        isolate=args.isolate,
-        timeout=args.timeout,
-        rate=args.rate,
-        burst=args.burst,
         telemetry=telemetry,
         snapshot_every=args.snapshot_every,
     )
 
-    async def _run() -> None:
-        endpoints = await server.start(
-            host=host, port=args.port, socket_path=args.socket
+    async def _run() -> int:
+        try:
+            bound_host, bound_port = await server.start(args.host, args.port)
+        except OSError as exc:
+            print(f"serve: cannot bind {args.host}:{args.port}: {exc}")
+            return 2
+        print(
+            f"serving http://{bound_host}:{bound_port} "
+            "(POST /run, GET /healthz, GET /stats)"
         )
-        if "http" in endpoints:
-            bound_host, bound_port = endpoints["http"]
-            print(
-                f"serving http://{bound_host}:{bound_port} "
-                "(POST /run, GET /healthz, GET /stats)"
-            )
-        if "unix" in endpoints:
-            print(
-                f"serving unix socket {endpoints['unix']} "
-                "(one JSON request per line)"
-            )
         if telemetry is not None:
             print(f"telemetry: {telemetry.path}")
         print("press Ctrl-C to drain and exit", flush=True)
         server.install_signal_handlers()
         await server.serve_until_drained(args.drain_timeout)
+        return 0
 
     try:
-        asyncio.run(_run())
+        code = asyncio.run(_run())
     except KeyboardInterrupt:
         return INTERRUPT_EXIT_CODE
+    if code:
+        return code
     print(
         f"served {server.requests} requests ({server.errors} errors, "
         f"{server.pool.executions} executions, "
@@ -641,11 +628,7 @@ def cmd_load(args) -> int:
     )
 
     def make_client(index: int) -> ServeClient:
-        name = f"load-{index}"
-        if args.socket:
-            return ServeClient.unix(args.socket, name=name,
-                                    timeout=args.timeout)
-        return ServeClient.http(args.host, args.port, name=name,
+        return ServeClient.http(args.host, args.port, name=f"load-{index}",
                                 timeout=args.timeout)
 
     try:
@@ -654,8 +637,7 @@ def cmd_load(args) -> int:
             clients=args.clients, requests=args.requests,
         ))
     except OSError as exc:
-        target = args.socket or f"{args.host}:{args.port}"
-        print(f"load: cannot reach server at {target}: {exc}")
+        print(f"load: cannot reach server at {args.host}:{args.port}: {exc}")
         return 2
     for line in report.render():
         print(line)
@@ -978,18 +960,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the long-lived scenario server (cache, dedup, backpressure)",
     )
-    p.add_argument(
-        "--host", default=None,
-        help="HTTP bind address (default 127.0.0.1; 'none' disables HTTP "
-        "and serves only the --socket)",
-    )
+    p.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
     p.add_argument(
         "--port", type=int, default=8642,
         help="HTTP port (0 = ephemeral; the bound port is printed)",
-    )
-    p.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="also serve newline-delimited JSON on this unix socket",
     )
     p.add_argument(
         "--cache-dir", default=None, dest="cache_dir",
@@ -1006,23 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--queue-depth", type=int, default=64, dest="queue_depth",
         help="bounded execution queue; beyond it requests get 503",
-    )
-    p.add_argument(
-        "--isolate", action="store_true",
-        help="run scenarios in worker processes (crash isolation, "
-        "enforced --timeout) instead of in-process threads",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-scenario timeout in seconds (only enforced with --isolate)",
-    )
-    p.add_argument(
-        "--rate", type=float, default=0.0,
-        help="per-client sustained requests/sec (0 = unlimited)",
-    )
-    p.add_argument(
-        "--burst", type=float, default=None,
-        help="per-client burst allowance (default 2x --rate)",
     )
     p.add_argument(
         "--telemetry", default=None, metavar="DIR",
@@ -1044,10 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1", help="server HTTP address")
     p.add_argument("--port", type=int, default=8642, help="server HTTP port")
-    p.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="talk to the server's unix socket instead of HTTP",
-    )
     p.add_argument(
         "--clients", type=int, default=8,
         help="concurrent closed-loop clients",

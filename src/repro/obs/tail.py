@@ -74,7 +74,7 @@ class ServingSummary:
 
     #: Requests by outcome source (cache / dedup / fresh / error codes).
     by_source: Dict[str, int] = field(default_factory=dict)
-    #: Requests by response status (ok / rate_limited / saturated / ...).
+    #: Requests by response status (ok / bad_request / saturated / ...).
     by_status: Dict[str, int] = field(default_factory=dict)
     requests: int = 0
     errors: int = 0

@@ -2,12 +2,11 @@
 
 ``python -m repro serve`` keeps one process resident with the
 content-addressed result store mapped in memory, and answers
-:class:`~repro.scenario.ScenarioSpec` requests over HTTP and/or a unix
-socket.  The request path is::
+:class:`~repro.scenario.ScenarioSpec` requests over HTTP.  The request
+path is::
 
-    socket -> protocol parse -> rate limiter -> store lookup
-           -> in-flight dedup map -> bounded queue -> worker pool
-           -> store append -> response
+    HTTP -> protocol parse -> store lookup -> in-flight dedup map
+         -> bounded queue -> worker threads -> store append -> response
 
 Three properties make it a *server* rather than a remote ``repro run``:
 
@@ -37,7 +36,6 @@ from .protocol import (
     ServeRequest,
     ServeResponse,
 )
-from .ratelimit import RateLimiter, TokenBucket
 from .server import ScenarioServer
 
 __all__ = [
@@ -47,13 +45,11 @@ __all__ = [
     "LoadReport",
     "PoolSaturated",
     "ProtocolError",
-    "RateLimiter",
     "ScenarioPool",
     "ScenarioServer",
     "ServeClient",
     "ServeRequest",
     "ServeResponse",
-    "TokenBucket",
     "default_payloads",
     "run_load",
 ]

@@ -1,9 +1,9 @@
-"""Async clients for the scenario server (HTTP and unix socket).
+"""Async HTTP client for the scenario server.
 
-One :class:`ServeClient` holds one persistent connection — keep-alive
-HTTP or a unix-socket JSONL stream — and issues closed-loop requests
-over it.  The load generator runs many of these concurrently; tests use
-a single one to talk to an in-process server.
+One :class:`ServeClient` holds one persistent keep-alive HTTP
+connection and issues closed-loop requests over it.  The load generator
+runs many of these concurrently; tests use a single one to talk to an
+in-process server.
 """
 
 from __future__ import annotations
@@ -21,25 +21,22 @@ __all__ = ["ServeClient"]
 class ServeClient:
     """One persistent connection to a running scenario server.
 
-    Build with :meth:`http` or :meth:`unix`, then ``await connect()``.
+    Build with :meth:`http` (or the constructor), then ``await
+    connect()`` or use it as an async context manager.
     ``run_scenario`` sends one request and awaits its response payload;
     requests on one client are sequential (closed loop) by design.
     """
 
     def __init__(
         self,
+        host: str,
+        port: int,
         *,
-        host: Optional[str] = None,
-        port: int = 0,
-        socket_path: Optional[str] = None,
         name: str = "client",
         timeout: float = 60.0,
     ):
-        if (host is None) == (socket_path is None):
-            raise ValueError("need exactly one of host/port or socket_path")
         self.host = host
         self.port = port
-        self.socket_path = socket_path
         self.name = name
         self.timeout = timeout
         self._reader: Optional["asyncio.StreamReader"] = None
@@ -50,31 +47,15 @@ class ServeClient:
     def http(cls, host: str, port: int, name: str = "client",
              timeout: float = 60.0) -> "ServeClient":
         """A keep-alive HTTP client for ``host:port``."""
-        return cls(host=host, port=port, name=name, timeout=timeout)
-
-    @classmethod
-    def unix(cls, socket_path: str, name: str = "client",
-             timeout: float = 60.0) -> "ServeClient":
-        """A JSONL client for the unix socket at ``socket_path``."""
-        return cls(socket_path=socket_path, name=name, timeout=timeout)
-
-    @property
-    def transport(self) -> str:
-        """``"http"`` or ``"unix"``."""
-        return "unix" if self.socket_path is not None else "http"
+        return cls(host, port, name=name, timeout=timeout)
 
     async def connect(self) -> "ServeClient":
         """Open the connection (idempotent); returns ``self``."""
         if self._writer is not None:
             return self
-        if self.socket_path is not None:
-            self._reader, self._writer = await asyncio.open_unix_connection(
-                self.socket_path
-            )
-        else:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port
+        )
         return self
 
     async def close(self) -> None:
@@ -105,14 +86,10 @@ class ServeClient:
             "client": self.name,
             "id": f"{self.name}-{next(self._ids)}",
         }
-        if self.transport == "unix":
-            return await self._request_unix(envelope)
         return await self._request_http("POST", "/run", envelope)
 
     async def get(self, path: str) -> Dict[str, Any]:
-        """``GET`` a server endpoint (``/healthz``, ``/stats``); HTTP only."""
-        if self.transport != "http":
-            raise ValueError("GET endpoints exist only over HTTP")
+        """``GET`` a server endpoint (``/healthz``, ``/stats``)."""
         return await self._request_http("GET", path, None)
 
     # -- HTTP wire -----------------------------------------------------
@@ -159,21 +136,4 @@ class ServeClient:
         payload.setdefault("http_status", status)
         if headers.get("connection", "").lower() == "close":
             await self.close()
-        return payload
-
-    # -- unix wire -----------------------------------------------------
-    async def _request_unix(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
-        await self.connect()
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(
-            json.dumps(envelope, separators=(",", ":")).encode("utf-8") + b"\n"
-        )
-        await self._writer.drain()
-        line = await asyncio.wait_for(self._reader.readline(), self.timeout)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        payload = json.loads(line.decode("utf-8"))
-        payload.setdefault(
-            "http_status", 200 if payload.get("ok") else 500
-        )
         return payload

@@ -7,13 +7,11 @@ server turns that into an immediate 503, which is the backpressure
 contract: a burst beyond capacity degrades into fast, honest refusals
 instead of unbounded memory growth and timeout cascades.
 
-Execution itself happens off the event loop.  By default each scenario
-runs on a thread of a dedicated executor (cheap, fine for the pure-
-Python simulators); with ``isolate=True`` it is routed through the
-orchestrator's process pool (:func:`~repro.orchestrator.executor.
-run_tasks`) so a crashing or runaway scenario cannot take the daemon
-down and per-job timeouts are enforced by process kill.  Tests inject
-``runner`` to fake execution entirely.
+Execution itself happens off the event loop, on the threads of a
+dedicated executor — cheap, and fine for the pure-Python simulators.
+A scenario that raises fails only its own request; threads cannot be
+killed, so there is no per-scenario timeout.  Tests inject ``runner``
+to fake execution entirely.
 
 Completed rows are appended to the shared :class:`~repro.orchestrator.
 store.ResultStore` *from the worker thread, before the future
@@ -32,7 +30,7 @@ from time import monotonic
 from typing import Any, Callable, Dict, List, Optional
 
 from ..orchestrator.store import ResultStore
-from ..scenario import ScenarioSpec
+from ..scenario import ScenarioSpec, run_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +42,7 @@ class PoolSaturated(Exception):
 
 
 class ExecutionFailed(Exception):
-    """The scenario ran and failed (worker error, timeout, crash)."""
+    """The scenario ran and failed (it raised), or was drained unrun."""
 
 
 @dataclass
@@ -71,12 +69,6 @@ class ScenarioPool:
     queue_depth:
         Bound on queued-but-not-started jobs; beyond it ``submit``
         raises :class:`PoolSaturated`.
-    isolate:
-        Route execution through the orchestrator's process pool (crash
-        isolation + enforced timeouts) instead of in-process threads.
-    timeout / retries:
-        Per-job limits, only enforced under ``isolate`` (the
-        orchestrator pool kills and retries; threads cannot be killed).
     runner:
         Test hook: a callable ``spec -> row`` replacing real execution.
     """
@@ -87,9 +79,6 @@ class ScenarioPool:
         *,
         workers: int = 4,
         queue_depth: int = 64,
-        isolate: bool = False,
-        timeout: Optional[float] = None,
-        retries: int = 0,
         runner: Optional[Callable[[ScenarioSpec], Dict[str, Any]]] = None,
     ):
         if workers < 1:
@@ -99,10 +88,7 @@ class ScenarioPool:
         self.store = store
         self.workers = workers
         self.queue_depth = queue_depth
-        self.isolate = isolate
-        self.timeout = timeout
-        self.retries = retries
-        self._runner = runner
+        self._runner = runner or run_scenario
         self._queue: "asyncio.Queue[PoolJob]" = asyncio.Queue(
             maxsize=queue_depth
         )
@@ -220,44 +206,9 @@ class ScenarioPool:
     ) -> Dict[str, Any]:
         """Run one scenario (worker thread) and persist its row."""
         self.executions += 1
-        row = self._execute(spec)
+        row = dict(self._runner(spec))
         if self.store is not None:
             # Store *before* the future resolves: waiters must never see
             # a result the cache cannot also answer.
             self.store.put(fingerprint, row)
         return row
-
-    def _execute(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        if self._runner is not None:
-            return dict(self._runner(spec))
-        if self.isolate:
-            return self._execute_isolated(spec)
-        from ..scenario import run_scenario
-
-        return run_scenario(spec)
-
-    def _execute_isolated(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        """One scenario through the orchestrator's process pool."""
-        from ..orchestrator.executor import run_tasks
-        from ..orchestrator.signals import ShutdownFlag
-        from ..scenario import run_scenario
-
-        outcomes = run_tasks(
-            [spec],
-            run_scenario,
-            labels=[spec.label or spec.fingerprint()[:12]],
-            max_workers=2,  # >1 selects the process pool path
-            timeout=self.timeout,
-            retries=self.retries,
-            emit_queued=False,
-            stop=ShutdownFlag(),  # private flag: CLI signals drain us, not it
-        )
-        outcome = outcomes[0]
-        if not outcome.ok:
-            raise ExecutionFailed(outcome.error or "scenario failed")
-        result = outcome.result
-        if not isinstance(result, dict):
-            raise ExecutionFailed(
-                f"scenario returned {type(result).__name__}, expected row dict"
-            )
-        return result

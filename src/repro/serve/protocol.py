@@ -1,6 +1,6 @@
 """The serve wire protocol: versioned request/response envelopes.
 
-One request is one JSON object::
+One request is one JSON object, the body of ``POST /run``::
 
     {"v": 1, "scenario": {...ScenarioSpec.to_json() object...},
      "client": "bench-3", "id": "req-17"}
@@ -18,15 +18,14 @@ Responses mirror the envelope::
 
 ``source`` says how the row was produced (``cache`` / ``dedup`` /
 ``fresh``); error responses carry ``status`` in the error vocabulary
-below plus a human-readable ``error`` string.  The same payloads travel
-over HTTP (bodies) and the unix socket (JSON lines), so both transports
-share every test.
+below plus a human-readable ``error`` string, and the HTTP status code
+that status maps onto.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from ..orchestrator.jobspec import SCHEMA_VERSION
@@ -40,7 +39,6 @@ ERROR_STATUS = {
     "bad_version": 400,
     "bad_request": 400,
     "bad_scenario": 400,
-    "rate_limited": 429,
     "saturated": 503,
     "draining": 503,
     "execution_failed": 500,
@@ -90,6 +88,17 @@ class ServeRequest:
     request_id: str = ""
 
     @classmethod
+    def from_body(cls, body: bytes, client: str = "") -> "ServeRequest":
+        """Parse a raw request body (raises :class:`ProtocolError`)."""
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise ProtocolError(
+                "bad_request", f"invalid JSON body: {exc}"
+            ) from exc
+        return cls.from_payload(payload, client=client)
+
+    @classmethod
     def from_payload(cls, payload: Any, client: str = "") -> "ServeRequest":
         """Parse a decoded request envelope (raises :class:`ProtocolError`).
 
@@ -117,7 +126,7 @@ class ServeRequest:
 
 @dataclass
 class ServeResponse:
-    """One response envelope, transport-agnostic."""
+    """One response envelope."""
 
     ok: bool
     status: str = "ok"
@@ -127,7 +136,6 @@ class ServeResponse:
     latency_ms: float = 0.0
     request_id: str = ""
     fingerprint: str = ""
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def http_status(self) -> int:
@@ -165,13 +173,7 @@ class ServeResponse:
             payload["id"] = self.request_id
         if self.fingerprint:
             payload["fingerprint"] = self.fingerprint
-        payload.update(self.extra)
         return payload
-
-    def to_json(self) -> str:
-        """One compact JSON line (the unix-socket wire form)."""
-        return json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":"))
 
 
 __all__ = [

@@ -1,12 +1,11 @@
 """The scenario server: dedup, backpressure, cache-first serving.
 
 :class:`ScenarioServer` owns the whole request path described in the
-package docstring.  The transport layer is deliberately tiny — a
-hand-rolled HTTP/1.1 responder (keep-alive, ``POST /run``,
-``GET /healthz``, ``GET /stats``) and a newline-delimited-JSON unix
-socket — because the daemon serves trusted local benchmark traffic,
-not the open internet; both feed the same :meth:`ScenarioServer.handle`
-coroutine, which is also called directly by the unit tests.
+package docstring.  The transport is deliberately tiny — a hand-rolled
+HTTP/1.1 responder (keep-alive, ``POST /run``, ``GET /healthz``,
+``GET /stats``) — because the daemon serves trusted local benchmark
+traffic, not the open internet.  It feeds :meth:`ScenarioServer.handle`,
+which the unit tests also call directly.
 
 Request outcome vocabulary (the ``source`` field):
 
@@ -42,7 +41,6 @@ from ..orchestrator.store import ResultStore
 from .dedup import InflightMap
 from .pool import ExecutionFailed, PoolSaturated, ScenarioPool
 from .protocol import ProtocolError, ServeRequest, ServeResponse
-from .ratelimit import RateLimiter
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +70,8 @@ class ScenarioServer:
         Shared result store; ``None`` disables caching (every request
         computes — useful only in tests).
     pool:
-        Execution stage; built from the keyword knobs when omitted.
-    rate / burst:
-        Per-client token-bucket limits (``rate <= 0`` disables).
+        Execution stage; built from ``workers``/``queue_depth`` when
+        omitted.
     telemetry:
         A :class:`~repro.obs.writer.TelemetryConfig` to emit
         ``request``/``queue``/``latency`` events under (optional).
@@ -89,24 +86,15 @@ class ScenarioServer:
         *,
         workers: int = 4,
         queue_depth: int = 64,
-        isolate: bool = False,
-        timeout: Optional[float] = None,
-        rate: float = 0.0,
-        burst: Optional[float] = None,
         telemetry: Optional[TelemetryConfig] = None,
         snapshot_every: int = 500,
         label: str = "serve",
     ):
         self.store = store
         self.pool = pool or ScenarioPool(
-            store,
-            workers=workers,
-            queue_depth=queue_depth,
-            isolate=isolate,
-            timeout=timeout,
+            store, workers=workers, queue_depth=queue_depth
         )
         self.inflight = InflightMap()
-        self.limiter = RateLimiter(rate=rate, burst=burst)
         self.label = label
         self.snapshot_every = max(1, snapshot_every)
         self._telemetry = telemetry
@@ -124,7 +112,7 @@ class ScenarioServer:
         self.by_source: Dict[str, int] = {}
         self.by_status: Dict[str, int] = {}
         self._latencies: Dict[str, Deque[float]] = {}
-        self._servers: List["asyncio.base_events.Server"] = []
+        self._listener: Optional["asyncio.base_events.Server"] = None
         self._drain_event: Optional["asyncio.Event"] = None
 
     # -- core request path --------------------------------------------
@@ -135,12 +123,6 @@ class ScenarioServer:
         if self.draining:
             return self._finish(request, ServeResponse.failure(
                 "draining", "server is shutting down",
-                request.request_id, fingerprint), t0)
-        if not self.limiter.allow(request.client):
-            return self._finish(request, ServeResponse.failure(
-                "rate_limited",
-                f"client {request.client!r} exceeded "
-                f"{self.limiter.rate:g} req/s",
                 request.request_id, fingerprint), t0)
 
         row = self._cache_lookup(fingerprint)
@@ -269,18 +251,25 @@ class ScenarioServer:
             },
         }
 
-    def _emit_snapshots(self, final: bool) -> None:
-        """Emit per-source ``latency`` percentiles and the ``queue`` gauge."""
+    def _latency_summary(self) -> Dict[str, Dict[str, Any]]:
+        """Per-source count and p50/p95/p99/max over the sample window."""
+        summary = {}
         for source, bucket in sorted(self._latencies.items()):
             samples = list(bucket)
-            self._writer.emit("latency", label=self.label, data={
-                "source": source,
+            summary[source] = {
                 "count": len(samples),
                 "p50_ms": round(percentile(samples, 50), 3),
                 "p95_ms": round(percentile(samples, 95), 3),
                 "p99_ms": round(percentile(samples, 99), 3),
                 "max_ms": round(max(samples), 3) if samples else 0.0,
-                "final": final,
+            }
+        return summary
+
+    def _emit_snapshots(self, final: bool) -> None:
+        """Emit per-source ``latency`` percentiles and the ``queue`` gauge."""
+        for source, snapshot in self._latency_summary().items():
+            self._writer.emit("latency", label=self.label, data={
+                "source": source, **snapshot, "final": final,
             })
         self._writer.emit("queue", label=self.label, data={
             "depth": self.pool.depth,
@@ -299,15 +288,6 @@ class ScenarioServer:
     # -- stats ---------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """A JSON-friendly snapshot of the server's counters."""
-        snaps = {}
-        for source, bucket in sorted(self._latencies.items()):
-            samples = list(bucket)
-            snaps[source] = {
-                "count": len(samples),
-                "p50_ms": round(percentile(samples, 50), 3),
-                "p95_ms": round(percentile(samples, 95), 3),
-                "p99_ms": round(percentile(samples, 99), 3),
-            }
         return {
             "status": "draining" if self.draining else "ok",
             "uptime_s": (
@@ -326,52 +306,40 @@ class ScenarioServer:
                 "inflight": self.pool.inflight,
             },
             "store_entries": len(self.store) if self.store is not None else 0,
-            "rate_limited": self.limiter.rejected,
-            "latency": snaps,
+            "latency": self._latency_summary(),
             "resources": self.resource_stats(),
         }
 
     # -- lifecycle -----------------------------------------------------
     async def start(
-        self,
-        host: Optional[str] = None,
-        port: int = 0,
-        socket_path: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Start the pool and the requested listeners.
+        self, host: str = "127.0.0.1", port: int = 0
+    ) -> Tuple[str, int]:
+        """Bind the HTTP listener, start the pool, then start serving.
 
-        Returns the bound endpoints: ``{"http": (host, port),
-        "unix": path}`` (absent keys were not requested).  ``port=0``
-        binds an ephemeral port — tests read the real one from here.
+        Returns the bound ``(host, port)``; ``port=0`` binds an
+        ephemeral port — tests read the real one from here.  The port is
+        bound before anything else is opened, so an ``OSError`` (port
+        taken, bad address) leaves no pool or telemetry writer behind.
         """
-        if host is None and socket_path is None:
-            raise ValueError("serve needs an HTTP host and/or a unix socket")
+        self._listener = await asyncio.start_server(
+            self._handle_http_connection, host=host, port=port,
+            start_serving=False,
+        )
+        bound_host, bound_port = self._listener.sockets[0].getsockname()[:2]
         if self._telemetry is not None:
             self._writer = self._telemetry.open()
         self._resources.start()
         await self.pool.start()
         self._drain_event = asyncio.Event()
         self.started_at = monotonic()
-        endpoints: Dict[str, Any] = {}
-        if host is not None:
-            server = await asyncio.start_server(
-                self._handle_http_connection, host=host, port=port
-            )
-            self._servers.append(server)
-            sock = server.sockets[0].getsockname()
-            endpoints["http"] = (sock[0], sock[1])
-        if socket_path is not None:
-            server = await asyncio.start_unix_server(
-                self._handle_unix_connection, path=socket_path
-            )
-            self._servers.append(server)
-            endpoints["unix"] = socket_path
         self._writer.emit(
             "run_start", span_id=self._writer.trace_id or "serve",
-            label=self.label, data={"endpoints": repr(endpoints)},
+            label=self.label,
+            data={"endpoint": f"http://{bound_host}:{bound_port}"},
         )
-        logger.info("serving on %s", endpoints)
-        return endpoints
+        await self._listener.start_serving()
+        logger.info("serving on http://%s:%d", bound_host, bound_port)
+        return bound_host, bound_port
 
     def request_drain(self, reason: str = "signal") -> None:
         """Flip into draining mode (idempotent, signal-handler safe)."""
@@ -400,13 +368,12 @@ class ScenarioServer:
         await self.shutdown(drain_timeout)
 
     async def shutdown(self, drain_timeout: float = 30.0) -> None:
-        """Stop listeners, drain the pool, flush telemetry."""
+        """Stop the listener, drain the pool, flush telemetry."""
         self.draining = True
-        for server in self._servers:
-            server.close()
-        for server in self._servers:
-            await server.wait_closed()
-        self._servers = []
+        if self._listener is not None:
+            self._listener.close()
+            await self._listener.wait_closed()
+            self._listener = None
         drained = await self.pool.drain(drain_timeout)
         self._emit_snapshots(final=True)
         self._writer.emit(
@@ -489,19 +456,18 @@ class ScenarioServer:
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         if method == "POST" and path == "/run":
+            t0 = perf_counter()
             peer = headers.get("x-repro-client", "")
             try:
-                payload = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                return 400, {"ok": False, "status": "bad_request",
-                             "error": f"invalid JSON body: {exc}"}
-            try:
-                request = ServeRequest.from_payload(payload, client=peer)
+                request = ServeRequest.from_body(body, client=peer)
             except ProtocolError as exc:
-                response = ServeResponse.failure(exc.status, exc.message)
-                self._finish(_anonymous_request(peer), response, perf_counter())
-                return response.http_status, response.to_payload()
-            response = await self.handle(request)
+                # Refused before a spec exists: counted all the same.
+                response = self._finish(
+                    _anonymous_request(peer),
+                    ServeResponse.failure(exc.status, exc.message), t0,
+                )
+            else:
+                response = await self.handle(request)
             return response.http_status, response.to_payload()
         if method == "GET" and path == "/healthz":
             status = 503 if self.draining else 200
@@ -519,7 +485,7 @@ class ScenarioServer:
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  429: "Too Many Requests", 500: "Internal Server Error",
+                  500: "Internal Server Error",
                   503: "Service Unavailable"}.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -530,74 +496,6 @@ class ScenarioServer:
         ).encode("latin-1")
         writer.write(head + body)
         await writer.drain()
-
-    # -- unix-socket transport (JSON lines) ----------------------------
-    async def _handle_unix_connection(
-        self, reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
-    ) -> None:
-        write_lock = asyncio.Lock()
-        pending: List["asyncio.Task"] = []
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                # One task per line: pipelined requests overlap, which is
-                # what lets a single socket client exercise dedup.
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_unix_line(line, writer, write_lock)
-                )
-                pending.append(task)
-                pending = [t for t in pending if not t.done()]
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            for task in pending:
-                if not task.done():
-                    task.cancel()
-            writer.close()
-
-    async def _serve_unix_line(
-        self, line: bytes, writer: "asyncio.StreamWriter",
-        write_lock: "asyncio.Lock",
-    ) -> None:
-        try:
-            payload = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            response = ServeResponse.failure(
-                "bad_request", f"invalid JSON line: {exc}"
-            )
-            self._finish(_anonymous_request("unix"), response, perf_counter())
-            return await self._write_unix(writer, write_lock, response)
-        try:
-            request = ServeRequest.from_payload(payload, client="unix")
-        except ProtocolError as exc:
-            response = ServeResponse.failure(
-                exc.status, exc.message,
-                request_id=str(payload.get("id", ""))
-                if isinstance(payload, dict) else "",
-            )
-            self._finish(_anonymous_request("unix"), response, perf_counter())
-            return await self._write_unix(writer, write_lock, response)
-        response = await self.handle(request)
-        await self._write_unix(writer, write_lock, response)
-
-    @staticmethod
-    async def _write_unix(
-        writer: "asyncio.StreamWriter", lock: "asyncio.Lock",
-        response: ServeResponse,
-    ) -> None:
-        async with lock:
-            try:
-                writer.write(response.to_json().encode("utf-8") + b"\n")
-                await writer.drain()
-            except ConnectionError:
-                pass
 
 
 def _anonymous_request(client: str) -> ServeRequest:

@@ -4,6 +4,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -40,17 +41,13 @@ async def start_server(tmp_path, **kwargs):
     store = ResultStore(tmp_path / "cache")
     kwargs.setdefault("pool", ScenarioPool(store, workers=2, runner=fake_row))
     server = ScenarioServer(store, **kwargs)
-    endpoints = await server.start(
-        host="127.0.0.1", port=0, socket_path=str(tmp_path / "serve.sock")
-    )
-    return server, endpoints
+    return server, await server.start("127.0.0.1", 0)
 
 
 class TestHttpTransport:
     def test_run_healthz_stats_over_keepalive(self, tmp_path):
         async def scenario():
-            server, endpoints = await start_server(tmp_path)
-            host, port = endpoints["http"]
+            server, (host, port) = await start_server(tmp_path)
             async with ServeClient.http(host, port, name="t1") as client:
                 first = await client.run_scenario(spec_payload())
                 second = await client.run_scenario(spec_payload())
@@ -68,8 +65,7 @@ class TestHttpTransport:
 
     def test_bad_requests_get_4xx_not_disconnect(self, tmp_path):
         async def scenario():
-            server, endpoints = await start_server(tmp_path)
-            host, port = endpoints["http"]
+            server, (host, port) = await start_server(tmp_path)
             async with ServeClient.http(host, port) as client:
                 missing = await client.run_scenario({"not": "a spec"})
                 assert missing["http_status"] == 400
@@ -82,10 +78,32 @@ class TestHttpTransport:
 
         asyncio.run(scenario())
 
+    def test_invalid_json_body_counted_not_fatal(self, tmp_path):
+        async def scenario():
+            server, (host, port) = await start_server(tmp_path)
+            async with ServeClient.http(host, port) as client:
+                body = b"this is not json"
+                client._writer.write(
+                    b"POST /run HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(body), body)
+                )
+                bad = await client._read_http_response()
+                assert bad["http_status"] == 400
+                assert bad["status"] == "bad_request"
+                # The keep-alive connection still serves a good request.
+                good = await client.run_scenario(spec_payload())
+                assert good["ok"]
+            stats = server.stats()
+            assert stats["requests"] == 2
+            assert stats["errors"] == 1
+            assert stats["by_status"] == {"bad_request": 1, "ok": 1}
+            await server.shutdown(5)
+
+        asyncio.run(scenario())
+
     def test_unknown_route_is_404(self, tmp_path):
         async def scenario():
-            server, endpoints = await start_server(tmp_path)
-            host, port = endpoints["http"]
+            server, (host, port) = await start_server(tmp_path)
             async with ServeClient.http(host, port) as client:
                 payload = await client.get("/nope")
             assert payload["http_status"] == 404
@@ -94,43 +112,10 @@ class TestHttpTransport:
         asyncio.run(scenario())
 
 
-class TestUnixTransport:
-    def test_jsonl_roundtrip_and_dedup_stats(self, tmp_path):
-        async def scenario():
-            server, endpoints = await start_server(tmp_path)
-            path = endpoints["unix"]
-            async with ServeClient.unix(path, name="u1") as client:
-                first = await client.run_scenario(spec_payload())
-                second = await client.run_scenario(spec_payload())
-            assert first["ok"] and first["source"] == "fresh"
-            assert second["ok"] and second["source"] == "cache"
-            await server.shutdown(5)
-
-        asyncio.run(scenario())
-
-    def test_malformed_line_answered_not_fatal(self, tmp_path):
-        async def scenario():
-            server, endpoints = await start_server(tmp_path)
-            reader, writer = await asyncio.open_unix_connection(
-                endpoints["unix"]
-            )
-            writer.write(b"this is not json\n")
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), 5)
-            payload = json.loads(line)
-            assert payload["ok"] is False
-            assert payload["status"] == "bad_request"
-            writer.close()
-            await server.shutdown(5)
-
-        asyncio.run(scenario())
-
-
 class TestLoadHarness:
     def test_cold_then_warm_pass(self, tmp_path):
         async def scenario():
-            server, endpoints = await start_server(tmp_path)
-            host, port = endpoints["http"]
+            server, (host, port) = await start_server(tmp_path)
             payloads = [spec_payload(seed) for seed in range(4)]
 
             def make(i):
@@ -158,10 +143,14 @@ class TestLoadHarness:
         again = default_payloads(distinct=6, n=200)
         assert batch == again  # same batch → second pass can cache-hit
 
-    def test_rate_limited_responses_counted_as_errors(self, tmp_path):
+    def test_failed_responses_counted_as_errors(self, tmp_path):
         async def scenario():
-            server, endpoints = await start_server(tmp_path, rate=2.0, burst=2)
-            host, port = endpoints["http"]
+            def boom(spec):
+                raise RuntimeError("scenario exploded")
+
+            server, (host, port) = await start_server(
+                tmp_path, pool=ScenarioPool(workers=2, runner=boom)
+            )
 
             def make(i):
                 return ServeClient.http(host, port, name="same-client")
@@ -170,7 +159,7 @@ class TestLoadHarness:
                 make, [spec_payload()], clients=4, requests=30
             )
             assert report.errors > 0
-            assert report.by_status.get("rate_limited", 0) == report.errors
+            assert report.by_status.get("execution_failed", 0) == report.errors
             await server.shutdown(5)
 
         asyncio.run(scenario())
@@ -180,10 +169,9 @@ class TestServeTelemetry:
     def test_trace_has_request_queue_latency_events(self, tmp_path):
         async def scenario():
             config = TelemetryConfig.create(str(tmp_path / "tel"))
-            server, endpoints = await start_server(
+            server, (host, port) = await start_server(
                 tmp_path, telemetry=config, snapshot_every=5
             )
-            host, port = endpoints["http"]
             async with ServeClient.http(host, port, name="tele") as client:
                 for _ in range(12):
                     await client.run_scenario(spec_payload())
@@ -216,8 +204,7 @@ class TestServeTelemetry:
     def test_tail_without_latency_flag_omits_section(self, tmp_path):
         async def scenario():
             config = TelemetryConfig.create(str(tmp_path / "tel"))
-            server, endpoints = await start_server(tmp_path, telemetry=config)
-            host, port = endpoints["http"]
+            server, (host, port) = await start_server(tmp_path, telemetry=config)
             async with ServeClient.http(host, port) as client:
                 await client.run_scenario(spec_payload())
             await server.shutdown(5)
@@ -226,6 +213,27 @@ class TestServeTelemetry:
         summary = summarize(load_trace(str(tmp_path / "tel")))
         text = "\n".join(render(summary, latency=False))
         assert "serving:" not in text
+
+
+class TestServeBindFailure:
+    def test_port_taken_exits_2_with_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            code = main([
+                "serve", "--port", str(port),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--telemetry", str(tmp_path / "tel"),
+            ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"serve: cannot bind 127.0.0.1:{port}: ")
+        assert "serving http" not in out
+        # Nothing was opened before the bind failed: no trace written.
+        assert not list(tmp_path.glob("tel/*"))
 
 
 @pytest.mark.slow
@@ -247,7 +255,7 @@ class TestServeCli:
             proc = subprocess.Popen(
                 [
                     sys.executable, "-m", "repro", "serve",
-                    "--port", "0", "--socket", str(tmp_path / "s.sock"),
+                    "--port", "0",
                     "--cache-dir", str(tmp_path / "cache"),
                     "--telemetry", str(tmp_path / "tel"),
                     "--jobs", "2", "--snapshot-every", "10",
