@@ -334,8 +334,11 @@ def render(
     open_spans = summary.open_spans()
     # A span whose id equals its trace id is the sweep itself, not a job.
     job_spans = [s for s in closed if s.span_id and s.span_id != s.trace_id]
+    # Like ``open_spans``, count only spans that started: the serving
+    # layer's span-less events fold into a pseudo-span that never did.
+    started = sum(1 for s in summary.spans.values() if s.start_ts is not None)
     lines.append(
-        f"trace: {summary.events} events, {len(summary.spans)} spans "
+        f"trace: {summary.events} events, {started} spans "
         f"({len(closed)} closed), {summary.violations} violations"
     )
     if summary.problem:

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .events import ProgressTracker, SweepEvent
 from .jobspec import JobSpec, run_jobspec
@@ -211,7 +211,14 @@ def run_tasks(
         Called with each terminal :class:`TaskOutcome` *as it settles*
         (completion order, not input order) — the cache layer uses this
         to persist results immediately, so an interrupted run keeps
-        every job that finished before the interrupt.
+        every job that finished before the interrupt.  With worker
+        processes, each pass of the pool first takes every ready reply,
+        then hands the freed workers their next tasks, and only then
+        settles the replies in arrival order: ``on_outcome`` runs while
+        the next jobs compute.  Replies already taken still settle if
+        the hand-off raises (say, a second ^C).  A task's ``elapsed``
+        runs from handing it to a worker to the receipt of its reply,
+        so it never includes another task's ``on_outcome``.
     spans / trace_id:
         Telemetry correlation ids stamped into every emitted
         :class:`SweepEvent`: ``spans`` aligns with ``payloads`` (one
@@ -360,6 +367,8 @@ def _run_pooled(
     delayed: List[_Pending] = []
     running: List[_Worker] = []
     idle: List[_Worker] = []
+    # Finished attempts not yet settled, in the order they arrived.
+    received: Deque[Tuple[Any, ...]] = deque()
 
     def spawn() -> _Worker:
         parent_conn, child_conn = ctx.Pipe()
@@ -382,16 +391,30 @@ def _run_pooled(
             slot.conn.send(("run", item.payload))
         except OSError:  # the idle worker died under us
             retire(slot)
-            settle(slot, "crashed", None, "worker process died "
+            detach(slot, "crashed", None, "worker process died "
                    f"(exitcode {slot.process.exitcode})")
             return
         except Exception as exc:  # an unpicklable payload fails its task
             idle.append(slot)
-            settle(slot, "error", None, _describe(exc))
+            detach(slot, "error", None, _describe(exc))
             return
+        except BaseException:  # ^C mid-send: leave the worker to the reaper
+            running.append(slot)
+            raise
         running.append(slot)
         _emit(tracker, kind="started", label=item.label, attempt=item.attempt,
               **ids.for_index(item.index))
+
+    def dispatch() -> None:
+        """Start every pending task (and due retry) a worker can take."""
+        if delayed:
+            now = time.monotonic()
+            still: List[_Pending] = []
+            for item in delayed:
+                (pending if item.ready_at <= now else still).append(item)
+            delayed[:] = still
+        while pending and len(running) < max_workers:
+            start(pending.popleft())
 
     def retire(slot: _Worker) -> None:
         """Close, join and forget a worker that exited or was terminated."""
@@ -403,12 +426,16 @@ def _run_pooled(
             slot.process.kill()
             slot.process.join(timeout=5)
 
-    def settle(slot: _Worker, status: str, result: Any, error: str,
+    def detach(slot: _Worker, status: str, result: Any, error: str,
                timed_out: bool = False) -> None:
-        """Record a finished attempt: success, retry, or final failure."""
-        elapsed = time.monotonic() - slot.started
-        item = slot.item
+        """Take a finished attempt off its worker; it settles later."""
+        received.append((slot.item, time.monotonic() - slot.started,
+                         status, result, error, timed_out))
         slot.item = None
+
+    def settle(item: _Pending, elapsed: float, status: str, result: Any,
+               error: str, timed_out: bool) -> None:
+        """Record a finished attempt: success, retry, or final failure."""
         stamp = ids.for_index(item.index)
         if status == "done":
             outcome = TaskOutcome(
@@ -448,6 +475,36 @@ def _run_pooled(
         if on_outcome is not None:
             on_outcome(outcome)
 
+    def receive(ready: Sequence[Any]) -> None:
+        """Take every ready reply; kill attempts past their timeout."""
+        ready_set = set(ready)
+        for slot in list(running):
+            if slot.conn in ready_set:
+                try:
+                    kind, payload = slot.conn.recv()
+                except (EOFError, OSError):
+                    # Child died without reporting: crash isolation.
+                    retire(slot)
+                    detach(slot, "crashed", None, "worker process died "
+                           f"(exitcode {slot.process.exitcode})")
+                    continue
+                if kind == "ok":
+                    detach(slot, "done", payload, "")
+                else:
+                    detach(slot, "error", None, payload)
+                if kind == "exit":
+                    retire(slot)
+                else:
+                    running.remove(slot)
+                    idle.append(slot)
+            elif timeout is not None and (
+                time.monotonic() - slot.started
+            ) > timeout:
+                slot.process.terminate()
+                retire(slot)
+                detach(slot, "timeout", None,
+                       f"timed out after {timeout:.1f}s", timed_out=True)
+
     try:
         while pending or delayed or running:
             if stop.is_set():
@@ -459,54 +516,29 @@ def _run_pooled(
                     len(running), len(pending) + len(delayed),
                 )
                 break
-            now = time.monotonic()
-            if delayed:
-                still: List[_Pending] = []
-                for item in delayed:
-                    (pending if item.ready_at <= now else still).append(item)
-                delayed[:] = still
-            while pending and len(running) < max_workers:
-                start(pending.popleft())
-            if not running:
-                if delayed:
-                    time.sleep(
-                        max(0.0, min(i.ready_at for i in delayed) - time.monotonic())
-                    )
-                continue
-
-            poll = 0.1
-            if timeout is not None:
-                nearest = min(s.started + timeout for s in running)
-                poll = max(0.0, min(poll, nearest - time.monotonic()))
-            ready = _conn_wait([s.conn for s in running], timeout=poll)
-            ready_set = set(ready)
-
-            for slot in list(running):
-                if slot.conn in ready_set:
-                    try:
-                        kind, payload = slot.conn.recv()
-                    except (EOFError, OSError):
-                        # Child died without reporting: crash isolation.
-                        retire(slot)
-                        settle(slot, "crashed", None, "worker process died "
-                               f"(exitcode {slot.process.exitcode})")
-                        continue
-                    if kind == "exit":
-                        retire(slot)
-                    else:
-                        running.remove(slot)
-                        idle.append(slot)
-                    if kind == "ok":
-                        settle(slot, "done", payload, "")
-                    else:
-                        settle(slot, "error", None, payload)
-                elif timeout is not None and (
-                    time.monotonic() - slot.started
-                ) > timeout:
-                    slot.process.terminate()
-                    retire(slot)
-                    settle(slot, "timeout", None,
-                           f"timed out after {timeout:.1f}s", timed_out=True)
+            try:
+                dispatch()
+                if not running:
+                    if delayed:
+                        time.sleep(max(
+                            0.0,
+                            min(i.ready_at for i in delayed) - time.monotonic(),
+                        ))
+                    continue
+                poll = 0.1
+                if timeout is not None:
+                    nearest = min(s.started + timeout for s in running)
+                    poll = max(0.0, min(poll, nearest - time.monotonic()))
+                receive(_conn_wait([s.conn for s in running], timeout=poll))
+                # Freed workers get their next task before the replies
+                # settle: persisting a result overlaps the next job.
+                if not stop.is_set():
+                    dispatch()
+            finally:
+                # Also on an exception (a second ^C mid-dispatch): every
+                # received result still reaches ``on_outcome``.
+                while received:
+                    settle(*received.popleft())
     finally:
         for slot in running:
             slot.process.terminate()

@@ -382,6 +382,9 @@ class BuiltScenario:
         from .perf import TimingObserver
 
         timing = TimingObserver()
+        # The row reads only the run clock and the counters; per-round
+        # phase timing stays with observers that ask for it.
+        timing.wants_phase_timing = False
         all_observers = [timing, *observers]
         kind = self.spec.kind
         sampler = ResourceSampler().start()

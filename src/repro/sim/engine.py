@@ -19,6 +19,8 @@ cannot accidentally use information it does not have.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+# Counter.update's own counting loop, minus its per-call Mapping check.
+from collections import _count_elements
 from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -213,7 +215,7 @@ class Exploration:
             self.round += 1
             metrics.rounds = self.round
             metrics.total_moves += len(moved)
-            metrics.moves_per_robot.update(moved)
+            _count_elements(metrics.moves_per_robot, moved)
             if len(moved) < k:
                 # A robot is idle in a billed round iff it did not traverse
                 # an edge — whether it submitted "stay", "up" at the root
@@ -221,8 +223,9 @@ class Exploration:
                 # blocked.  Counting by complement of ``moved`` keeps
                 # ``moves_per_robot[i] + idle_per_robot[i] == rounds``.
                 metrics.idle_rounds += 1
-                metrics.idle_per_robot.update(
-                    filterfalse(set(moved).__contains__, range(k))
+                _count_elements(
+                    metrics.idle_per_robot,
+                    filterfalse(set(moved).__contains__, range(k)),
                 )
         metrics.reveals += len(events)
         self.positions = new_positions

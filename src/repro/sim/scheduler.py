@@ -122,7 +122,6 @@ class Scheduler(ABC):
         self.start(engine)
         state = engine.state
         policy = engine.policy
-        interference = engine.interference
         observers = list(engine.observers)
         # Phase timing is opt-in per observer; with no taker the loop
         # performs zero clock reads beyond what it always did.
@@ -130,36 +129,54 @@ class Scheduler(ABC):
         # Only observers that override ``should_stop`` can stop a run;
         # the base method always answers None.
         stoppers = [
-            obs for obs in observers
+            obs.should_stop for obs in observers
             if type(obs).should_stop is not RoundObserver.should_stop
         ]
+        # The body runs once per round (per event batch, asynchronously,
+        # where most batches move one robot): every hook and cap it uses
+        # is looked up here, once per run.
+        offer = self.offer
+        settle = self.settle
+        quiescent = self.quiescent
+        select_moves = policy.select_moves
+        observe = policy.observe
+        strike = engine.interference.filter
+        apply = state.apply
+        progress_token = state.progress_token
+        billed_rounds = state.billed_rounds
+        on_rounds = [obs.on_round for obs in observers]
+        check_complete = state.is_complete if engine.stop_when_complete else None
+        billed_stop = engine.billed_stop
+        billed_cap = engine.billed_cap
+        wall_cap = engine.wall_cap
+        grace = engine.quiescence_grace
         _t0 = _t1 = _t2 = 0.0
         policy.attach(state)
         for obs in observers:
             obs.on_attach(state)
         t = 0
+        # Only ``apply`` bills, so one read per round suffices: a round's
+        # ``billed_before`` is the previous round's ``billed``.
+        billed = billed_rounds()
         reason: Optional[str] = None
         while True:
-            if engine.stop_when_complete and state.is_complete():
+            if check_complete is not None and check_complete():
                 reason = STOP_COMPLETE
                 break
-            if (
-                engine.billed_stop is not None
-                and state.billed_rounds() >= engine.billed_stop
-            ):
+            if billed_stop is not None and billed >= billed_stop:
                 reason = STOP_CAP
                 logger.warning(
                     "round cap hit: %d billed %s >= cap %d "
                     "(run did not finish on its own)",
-                    state.billed_rounds(), self.units, engine.billed_stop,
+                    billed, self.units, billed_stop,
                 )
                 break
 
             if timed:
                 _t0 = perf_counter()
-            movable = self.offer(t, engine)
-            moves = policy.select_moves(state, movable)
-            struck = interference.filter(t, state, moves)
+            movable = offer(t, engine)
+            moves = select_moves(state, movable)
+            struck = strike(t, state, moves)
             if struck:
                 for agent in sorted(struck):
                     if agent in moves:
@@ -168,23 +185,24 @@ class Scheduler(ABC):
             else:
                 surviving = moves
 
-            before = state.progress_token()
-            billed_before = state.billed_rounds()
+            before = progress_token()
+            billed_before = billed
             if timed:
                 _t1 = perf_counter()
-            events = state.apply(surviving, movable)
+            events = apply(surviving, movable)
             if timed:
                 _t2 = perf_counter()
-            policy.observe(state, events)
+            observe(state, events)
             if timed:
                 _t3 = perf_counter()
                 for obs in timed:
                     obs.on_phase_times(_t1 - _t0, _t2 - _t1, _t3 - _t2)
-            after = state.progress_token()
+            after = progress_token()
+            billed = billed_rounds()
             record = RoundRecord(
                 t=t,
                 billed_before=billed_before,
-                billed=state.billed_rounds(),
+                billed=billed,
                 moves=moves,
                 struck=struck,
                 movable=movable,
@@ -192,13 +210,13 @@ class Scheduler(ABC):
                 progressed=after != before,
                 events=events,
             )
-            self.settle(t, state, record, after)
-            for obs in observers:
-                obs.on_round(state, record)
+            settle(t, state, record, after)
+            for on_round in on_rounds:
+                on_round(state, record)
 
             observer_reason = None
-            for obs in stoppers:
-                observer_reason = obs.should_stop(state, record)
+            for should_stop in stoppers:
+                observer_reason = should_stop(state, record)
                 if observer_reason is not None:
                     break
             if observer_reason is not None:
@@ -206,16 +224,15 @@ class Scheduler(ABC):
                 reason = f"{STOP_OBSERVER}:{observer_reason}"
                 break
 
-            if self.quiescent(state, record) and t >= engine.quiescence_grace:
+            if quiescent(state, record) and t >= grace:
                 if engine.bill_quiescent_round:
                     t += 1
                 reason = STOP_QUIESCENT
                 break
 
             t += 1
-            billed = state.billed_rounds()
-            if (engine.billed_cap is not None and billed > engine.billed_cap) or (
-                engine.wall_cap is not None and t > engine.wall_cap
+            if (billed_cap is not None and billed > billed_cap) or (
+                wall_cap is not None and t > wall_cap
             ):
                 message = (
                     engine.cap_message(billed, t)
@@ -228,7 +245,7 @@ class Scheduler(ABC):
         self.finish()
         outcome = RunOutcome(
             wall_rounds=t,
-            billed_rounds=state.billed_rounds(),
+            billed_rounds=billed_rounds(),
             stop_reason=reason,
         )
         for obs in observers:
@@ -498,6 +515,7 @@ class AsyncEventScheduler(Scheduler):
         self._heap: List[Any] = [(0.0, i) for i in sorted(team)]
         self._stalled: Set[int] = set()
         self._now = 0.0
+        self._duration = self.speeds.duration  # called once per tick
 
     def offer(self, t: int, engine: RoundEngine) -> Set[int]:
         """Pop the batch: every robot whose traversal ends earliest."""
@@ -519,17 +537,22 @@ class AsyncEventScheduler(Scheduler):
         clock = self._clock
         now = self._now
         before = record.before
+        movable = record.movable
+        duration = self._duration
+        heap = self._heap
+        ticks = clock.ticks
         progressed_time = 0.0
-        for i in sorted(record.movable):
-            clock.ticks[i] += 1
-            ends = now + self.speeds.duration(i, clock.ticks[i])
+        # Most batches tick one robot: no need to sort those.
+        for i in movable if len(movable) == 1 else sorted(movable):
+            tick = ticks[i] = ticks[i] + 1
+            ends = now + duration(i, tick)
             if ends <= now:
                 raise ValueError(
                     f"speed schedule {self.speeds.name!r} returned a "
                     f"non-positive duration for robot {i}"
                 )
             clock.times[i] = ends
-            heappush(self._heap, (ends, i))
+            heappush(heap, (ends, i))
             if after[i] != before[i]:
                 clock.moves[i] += 1
                 progressed_time = max(progressed_time, ends)

@@ -94,6 +94,20 @@ class TestRender:
         # "VIOLATION" must not appear for a merely truncated trace.
         assert "VIOLATION(S)" not in text
 
+    def test_serve_trace_counts_only_started_spans(self):
+        # A ``repro serve`` trace: one daemon span plus span-less
+        # request/queue/latency events, which fold into a pseudo-span.
+        events = [
+            _ev("run_start", TRACE, 0.0, label="serve"),
+            _ev("request", "", 1.0, data={"source": "fresh", "status": "ok"}),
+            _ev("queue", "", 1.1, data={"depth": 0, "capacity": 64}),
+            _ev("latency", "", 1.2, data={"source": "all", "p50_ms": 2.0}),
+            _ev("run_end", TRACE, 2.0),
+        ]
+        lines = render(summarize(events), latency=True)
+        assert lines[0] == "trace: 5 events, 1 spans (1 closed), 0 violations"
+        assert "INCOMPLETE" not in "\n".join(lines)
+
     def test_complete_trace_has_no_incomplete_line(self):
         text = "\n".join(render(summarize(_demo_events())))
         assert "INCOMPLETE" not in text

@@ -21,7 +21,9 @@ from repro.perf import (
     validate_snapshot,
     write_snapshot,
 )
+from repro.orchestrator import TreeSpec
 from repro.registry import make_tree
+from repro.scenario import ScenarioSpec
 from repro.sim import Simulator
 from repro.sim.runloop import RoundLog
 from repro.trees import generators as gen
@@ -72,6 +74,25 @@ class TestTimingObserver:
         snap = timing.snapshot()
         assert snap["elapsed"] > 0  # run clock still ticks
         assert snap["phases"] == {"select": 0.0, "apply": 0.0, "observe": 0.0}
+
+    def test_scenario_row_timer_reads_no_phase_clock(self, monkeypatch):
+        # A scenario row reads only the run clock and the counters of
+        # ``BuiltScenario.run``'s own timer; per-round phase timing goes
+        # to a timer the caller passes in, and to no other.
+        calls = []
+        monkeypatch.setattr(
+            TimingObserver, "on_phase_times",
+            lambda self, *phases: calls.append(self),
+        )
+        passed = TimingObserver()
+        spec = ScenarioSpec(
+            kind="tree", algorithm="cte", k=4,
+            substrate=TreeSpec.named("random", 200, seed=1),
+        )
+        row = spec.build().run(observers=[passed])
+        assert row["elapsed"] > 0 and row["rounds_per_sec"] > 0
+        assert row["backend"] == "reference"
+        assert calls and all(timer is passed for timer in calls)
 
     @pytest.mark.parametrize("family", ["random", "star", "comb"])
     def test_counters_agree_across_loops(self, family):
