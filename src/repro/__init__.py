@@ -18,12 +18,23 @@ recursive ``BFDN_ell`` (``repro.core.recursive``).
 
 from .baselines import CTE, OnlineDFS, offline_lower_bound, offline_split_runtime
 from .core import BFDN, BFDNEll, WriteReadBFDN, run_with_breakdowns
-from .mission import MissionPlan, MissionReport, plan_mission, run_mission
 from .scenario import ScenarioSpec, run_scenario, scenario_grid
 from .sim import AsyncSimulator, Simulator
 from .trees import PartialTree, Tree, generators, tree_from_edges
 
 __version__ = "1.0.0"
+
+_MISSION_NAMES = frozenset({"MissionPlan", "MissionReport", "plan_mission", "run_mission"})
+
+
+def __getattr__(name):
+    # The mission planner is re-exported here but run only by ``repro
+    # mission``; it loads on first use.
+    if name in _MISSION_NAMES:
+        from . import mission
+
+        return getattr(mission, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BFDN",

@@ -27,8 +27,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import registry
-from .analysis import render_table, run_experiment, run_sweep_cached, save_rows
-from .analysis.experiments import ExperimentContext
 from .bounds import (
     async_cte_bound,
     bfdn_bound,
@@ -37,14 +35,11 @@ from .bounds import (
     theorem3_bound,
 )
 from .core import BFDN
-from .game import BalancedPlayer, GreedyAdversary, UrnBoard, game_value, play_game
-from .mission import run_mission
 from .obs import TelemetryConfig, TelemetryJob, configure_logging, run_telemetry_job
 from .obs import tail as obs_tail
 from .orchestrator import ProgressTracker, ResultStore, TreeSpec
 from .orchestrator.signals import INTERRUPT_EXIT_CODE, graceful_shutdown
 from .orchestrator.store import DEFAULT_CACHE_DIR
-from .perf import bench as perf_bench
 from .registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -61,8 +56,11 @@ from .registry import (
 )
 from .scenario import ScenarioSpec
 from .sim import Simulator, TraceObserver
-from .sim.render import animate
 from .trees import generators as gen
+
+# Subsystems that only one command runs (analysis, game, mission,
+# perf.bench, sim.render) are imported inside its handler, so that
+# ``repro explore``, ``sweep`` and ``serve`` processes do not load them.
 
 logger = logging.getLogger(__name__)
 
@@ -201,6 +199,8 @@ def cmd_compare(args) -> int:
     defaults come from the registry, e.g. ``cte``); pass ``--cache-dir``
     to make repeat comparisons cache hits.
     """
+    from .analysis import render_table, run_sweep_cached
+
     run = run_sweep_cached(
         args.algorithms,
         gen.standard_families(k=max(args.k), size=args.size),
@@ -220,6 +220,8 @@ def cmd_sweep(args) -> int:
     a per-job ``--timeout`` with bounded ``--retries``, and one crashing
     or hanging job never aborts the others.
     """
+    from .analysis import render_table, run_sweep_cached, save_rows
+
     store = None
     if args.cache_dir and not args.no_cache:
         store = ResultStore(args.cache_dir)
@@ -345,6 +347,8 @@ def cmd_bench(args) -> int:
     ``bench --profile`` runs the suite once under cProfile and prints the
     top ``--top`` hotspots by cumulative time.
     """
+    from .perf import bench as perf_bench
+
     if args.compare:
         old_path, new_path = args.compare
         try:
@@ -424,6 +428,14 @@ def cmd_figure1(args) -> int:
 
 def cmd_game(args) -> int:
     """Play the urn game and report simulated vs DP vs Theorem 3."""
+    from .game import (
+        BalancedPlayer,
+        GreedyAdversary,
+        UrnBoard,
+        game_value,
+        play_game,
+    )
+
     record = play_game(
         UrnBoard(args.k, args.delta), GreedyAdversary(), BalancedPlayer()
     )
@@ -436,6 +448,8 @@ def cmd_game(args) -> int:
 
 def cmd_mission(args) -> int:
     """Auto-select the algorithm by guarantee and run the mission."""
+    from .mission import run_mission
+
     tree = make_tree(args.tree, args.n)
     report = run_mission(tree, args.k, prefer_write_read=args.write_read)
     print(report.summary())
@@ -450,6 +464,9 @@ def cmd_experiment(args) -> int:
     cache hits; ``--no-cache`` runs everything fresh and
     ``--min-hit-rate`` turns the hit rate into an exit-code gate.
     """
+    from .analysis import run_experiment
+    from .analysis.experiments import ExperimentContext
+
     store = None
     if args.cache_dir and not args.no_cache:
         store = ResultStore(args.cache_dir)
@@ -655,6 +672,8 @@ def cmd_load(args) -> int:
 
 def cmd_demo(args) -> int:
     """Animate a small BFDN run frame by frame in the terminal."""
+    from .sim.render import animate
+
     tree = make_tree(args.tree, args.n)
     tracer = TraceObserver()
     Simulator(tree, BFDN(), args.k, observers=[tracer]).run()

@@ -10,6 +10,10 @@ One subsystem, four pieces (see DESIGN.md "Telemetry" for the schema):
   budgets (:class:`BudgetObserver`);
 * :mod:`~repro.obs.logconf` / :mod:`~repro.obs.tail` — stdlib logging
   setup and the ``repro tail`` summary renderer.
+
+The :mod:`~repro.obs.report` names (``collect_matrix``, ``render_html``,
+...) are re-exported lazily: the cost matrix pulls in
+:mod:`repro.analysis`, which no run needs, so it loads on first use.
 """
 
 from .budget import (
@@ -25,13 +29,6 @@ from .metrics import (
     Histogram,
     MetricsObserver,
     MetricsRegistry,
-)
-from .report import (
-    build_matrix,
-    collect_matrix,
-    compare_reports,
-    render_html,
-    render_markdown,
 )
 from .resources import (
     EnergyProbe,
@@ -58,6 +55,20 @@ from .writer import (
     load_trace,
     read_events,
 )
+
+_REPORT_NAMES = frozenset({
+    "build_matrix", "collect_matrix", "compare_reports", "render_html",
+    "render_markdown",
+})
+
+
+def __getattr__(name):
+    if name in _REPORT_NAMES:
+        from . import report
+
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Budget",

@@ -30,7 +30,7 @@ from time import monotonic
 from typing import Any, Callable, Dict, List, Optional
 
 from ..orchestrator.store import ResultStore
-from ..scenario import ScenarioSpec, run_scenario
+from ..scenario import ScenarioSpec, preload, run_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +111,14 @@ class ScenarioPool:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker coroutines (idempotent)."""
+        """Load the run path, then spawn the worker coroutines (idempotent).
+
+        Loading here keeps the first request of each kind from paying
+        for the imports.
+        """
         if self._tasks:
             return
+        preload()
         loop = asyncio.get_running_loop()
         self._tasks = [
             loop.create_task(self._worker(i)) for i in range(self.workers)

@@ -2,15 +2,18 @@
 
 Provides a plain-dict round trip (for fixtures and traces) and conversion
 to/from ``networkx`` graphs for users who want to bring their own trees.
+The two networkx helpers import it on first call; nothing else in the
+package needs it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from .tree import Tree, tree_from_edges
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["tree_to_dict", "tree_from_dict", "tree_to_networkx", "tree_from_networkx"]
 
@@ -37,6 +40,8 @@ def tree_to_networkx(tree: Tree) -> "nx.DiGraph":
     Node attributes carry ``depth``; the graph attribute ``root`` names the
     root node.
     """
+    import networkx as nx
+
     g = nx.DiGraph(root=tree.root)
     for v in tree.nodes():
         g.add_node(v, depth=tree.node_depth(v))
@@ -49,10 +54,16 @@ def tree_from_networkx(graph: "nx.Graph", root: int = 0) -> Tree:
     """Build a :class:`Tree` from any networkx tree.
 
     Nodes are relabelled to ``0 .. n-1`` in BFS order from ``root`` so the
-    result always satisfies the package's node-id conventions.
+    result always satisfies the package's node-id conventions.  Raises
+    :class:`ValueError` when the graph is empty, is not a tree, or does
+    not contain ``root``.
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise ValueError("graph is empty")
+    if root not in graph:
+        raise ValueError(f"root {root!r} is not a node of the graph")
     undirected = graph.to_undirected() if graph.is_directed() else graph
     if not nx.is_tree(undirected):
         raise ValueError("graph is not a tree")

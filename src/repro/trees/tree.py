@@ -101,16 +101,12 @@ class Tree:
         self.max_degree = max(self.degree(v) for v in range(n))
 
         # Port tables.  ports[v][j] is the neighbour reached from v via
-        # port j.  For v != root, ports[v][0] == parent(v).
-        self._ports: List[List[int]] = []
-        self._port_of_parent: List[Dict[int, int]] = []
-        for v in range(n):
-            if v == 0:
-                neighbours = list(self._children[v])
-            else:
-                neighbours = [self._parents[v]] + list(self._children[v])
-            self._ports.append(neighbours)
-            self._port_of_parent.append({u: j for j, u in enumerate(neighbours)})
+        # port j.  For v != root, ports[v][0] == parent(v).  The reverse
+        # table is built by the first port_of() call.
+        self._ports: List[List[int]] = [list(self._children[0])]
+        for v in range(1, n):
+            self._ports.append([self._parents[v]] + self._children[v])
+        self._port_of_parent: Optional[List[Dict[int, int]]] = None
 
         self._arrays: Optional[TreeArrays] = None
 
@@ -163,7 +159,13 @@ class Tree:
 
     def port_of(self, v: int, u: int) -> int:
         """Port number at ``v`` of the edge leading to neighbour ``u``."""
-        return self._port_of_parent[v][u]
+        table = self._port_of_parent
+        if table is None:
+            table = self._port_of_parent = [
+                {w: j for j, w in enumerate(neighbours)}
+                for neighbours in self._ports
+            ]
+        return table[v][u]
 
     def ports(self, v: int) -> Sequence[int]:
         """Neighbours of ``v`` indexed by port number."""

@@ -72,3 +72,9 @@ class TestNetworkx:
     def test_from_networkx_rejects_empty(self):
         with pytest.raises(ValueError):
             tree_from_networkx(nx.Graph(), root=0)
+
+    def test_from_networkx_rejects_missing_root(self):
+        g = nx.Graph()
+        g.add_edges_from([("a", "b"), ("b", "c")])
+        with pytest.raises(ValueError, match="root 0 is not a node"):
+            tree_from_networkx(g)

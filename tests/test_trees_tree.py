@@ -64,6 +64,19 @@ class TestPorts:
         t = gen.star(6)
         assert list(t.ports(0)) == list(t.children(0))
 
+    def test_reverse_port_table_built_on_first_port_of(self):
+        import pickle
+
+        t = gen.comb(5, 3)
+        assert t._port_of_parent is None
+        copy = pickle.loads(pickle.dumps(t))
+        assert t.port_of(2, t.port_to(2, 1)) == 1
+        assert t._port_of_parent is not None
+        for tree in (copy, pickle.loads(pickle.dumps(t))):
+            for v in range(tree.n):
+                for j in range(tree.degree(v)):
+                    assert tree.port_of(v, tree.port_to(v, j)) == j
+
 
 class TestPathsAndAncestry:
     def test_path_to_root_lengths(self, tree_case):
