@@ -13,7 +13,7 @@ import itertools
 import json
 from typing import Any, Dict, Optional
 
-from .protocol import PROTOCOL_VERSION
+from .protocol import PROTOCOL_VERSION, keep_socket_reads_on_heap
 
 __all__ = ["ServeClient"]
 
@@ -53,6 +53,7 @@ class ServeClient:
         """Open the connection (idempotent); returns ``self``."""
         if self._writer is not None:
             return self
+        keep_socket_reads_on_heap()
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )

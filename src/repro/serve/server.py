@@ -40,7 +40,12 @@ from ..obs.writer import NullWriter, TelemetryConfig
 from ..orchestrator.store import ResultStore
 from .dedup import InflightMap
 from .pool import ExecutionFailed, PoolSaturated, ScenarioPool
-from .protocol import ProtocolError, ServeRequest, ServeResponse
+from .protocol import (
+    ProtocolError,
+    ServeRequest,
+    ServeResponse,
+    keep_socket_reads_on_heap,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -321,6 +326,7 @@ class ScenarioServer:
         bound before anything else is opened, so an ``OSError`` (port
         taken, bad address) leaves no pool or telemetry writer behind.
         """
+        keep_socket_reads_on_heap()
         self._listener = await asyncio.start_server(
             self._handle_http_connection, host=host, port=port,
             start_serving=False,

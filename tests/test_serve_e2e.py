@@ -37,6 +37,16 @@ def spec_payload(seed=0):
     return json.loads(spec.to_json())
 
 
+def src_env():
+    """The environment for a subprocess that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.join(os.path.dirname(__file__), "..", "src")
+        + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    return env
+
+
 async def start_server(tmp_path, **kwargs):
     store = ResultStore(tmp_path / "cache")
     kwargs.setdefault("pool", ScenarioPool(store, workers=2, runner=fake_row))
@@ -241,12 +251,7 @@ class TestServeCli:
     """The real daemon: subprocess, real scenarios, signal drain."""
 
     def _env(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            os.path.join(os.path.dirname(__file__), "..", "src")
-            + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        return env
+        return src_env()
 
     def test_serve_load_twice_then_sigint(self, tmp_path):
         env = self._env()
@@ -306,3 +311,67 @@ class TestServeCli:
         )
         assert tail.returncode == 0, tail.stdout + tail.stderr
         assert "serving: 80 requests" in tail.stdout
+
+
+#: Runs in a fresh interpreter: starts a server (argv[1] == "server") or
+#: connects a client to a bare listener ("client"), then reports whether
+#: glibc mapped any of eight blocks the size of asyncio's socket read
+#: (``mallinfo2().hblks`` counts mmap'd blocks).  glibc maps a block only
+#: when the heap has no room for it, so eight are taken, and all are
+#: held: freeing a mapped one would itself raise the mmap threshold.
+READ_BUFFER_PROBE = r"""
+import asyncio, ctypes, json, sys
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+try:
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+except AttributeError:
+    print(json.dumps(None))
+    sys.exit()
+mallinfo2.restype = MallInfo2
+
+from repro.serve import ScenarioServer, ServeClient
+
+def mapped_read_buffers(held):
+    before = mallinfo2().hblks
+    held.extend(bytearray(256 * 1024) for _ in range(8))
+    return mallinfo2().hblks > before
+
+async def open_side(side):
+    if side == "server":
+        server = ScenarioServer(None, workers=1)
+        await server.start("127.0.0.1", 0)
+        await server.shutdown(5)
+    else:
+        listener = await asyncio.start_server(
+            lambda reader, writer: writer.close(), "127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        client = ServeClient("127.0.0.1", port)
+        await client.connect()
+        await client.close()
+        listener.close()
+        await listener.wait_closed()
+
+held = []
+before = mapped_read_buffers(held)
+asyncio.run(open_side(sys.argv[1]))
+print(json.dumps([before, mapped_read_buffers(held)]))
+"""
+
+
+@pytest.mark.parametrize("side", ["server", "client"])
+def test_socket_reads_stay_on_the_heap(side):
+    # Mapping and unmapping every 256 KiB read buffer made serve-mixed's
+    # median latency a sixth slower; see keep_socket_reads_on_heap.
+    out = subprocess.run(
+        [sys.executable, "-c", READ_BUFFER_PROBE, side],
+        env=src_env(), capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    probe = json.loads(out.splitlines()[-1])
+    if probe is None or not probe[0]:
+        pytest.skip("the allocator does not map 256 KiB blocks here")
+    assert probe == [True, False]
