@@ -9,23 +9,10 @@ each algorithm:
   draw Figure 1 (constants dropped, as the regions are defined up to
   multiplicative constants depending only on ``k``).
 
-Beyond the source paper, the module carries the guarantees of Cosson's
-follow-up algorithms, both registered in :mod:`repro.registry`:
-
-* ``tree_mining_*`` — "Breaking the k/log k Barrier via Tree-Mining"
-  (arXiv:2309.07011).  The repo's ``tree-mining`` algorithm realises the
-  barrier-breaking schedule as BFDN_ell with the recursion depth chosen
-  *uniformly* from the team size, ``ell(k) = ceil(sqrt(log2 k))``, so its
-  guarantee is Theorem 10 instantiated at that ``ell``: the ``n``-term
-  becomes ``4n / 2^{sqrt(log2 k)} = (4n/k) * k / 2^{sqrt(log2 k)}`` —
-  a competitive ratio of ``O(k / 2^{sqrt(log2 k)})``, below the classical
-  ``k / log k`` barrier.
-* ``potential_cte_*`` — "Collective Tree Exploration via Potential
-  Function Method" (arXiv:2311.01354): a locally-greedy algorithm with a
-  ``2n/k + O(D^2)`` guarantee (no ``log k`` factor on the additive term).
-  The paper proves the shape; the constant carried here
-  (:data:`POTENTIAL_CTE_CONSTANT`) is pinned to this repo's
-  implementation and validated empirically by the test suite.
+Beyond the source paper it carries the guarantees of the follow-up
+algorithms (``tree_mining_*``, ``potential_cte_*``, ``async_cte_*``).
+Which bound monitors which algorithm, and where each comes from, is
+recorded once, in :data:`repro.registry.ALGORITHM_ENTRIES`.
 """
 
 from __future__ import annotations

@@ -27,16 +27,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import registry
-from .bounds import (
-    async_cte_bound,
-    bfdn_bound,
-    compute_region_map,
-    render_ascii,
-    theorem3_bound,
-)
+from .bounds import compute_region_map, render_ascii, theorem3_bound
 from .core import BFDN
 from .obs import TelemetryConfig, TelemetryJob, configure_logging, run_telemetry_job
-from .obs import tail as obs_tail
+from .obs.budget import budgets_for_scenario
+from .obs.tail import tail as obs_tail
 from .orchestrator import ProgressTracker, ResultStore, TreeSpec
 from .orchestrator.signals import INTERRUPT_EXIT_CODE, graceful_shutdown
 from .orchestrator.store import DEFAULT_CACHE_DIR
@@ -133,7 +128,7 @@ def _explore_spec(args) -> ScenarioSpec:
 
 
 def cmd_explore(args) -> int:
-    """Run one exploration scenario and print the Theorem 1 numbers."""
+    """Run one exploration scenario and print its proven bounds."""
     try:
         spec = _explore_spec(args)
         built = spec.build()
@@ -158,7 +153,6 @@ def cmd_explore(args) -> int:
         print(f"telemetry: trace {config.trace_id} -> {config.path}")
     else:
         row = built.run(observers)
-    bound = bfdn_bound(tree.n, tree.depth, args.k, tree.max_degree)
     print(f"tree: n={tree.n} D={tree.depth} max_degree={tree.max_degree}")
     setup = args.algorithm
     if spec.policy:
@@ -170,13 +164,9 @@ def cmd_explore(args) -> int:
         print(f"async clock: completion time {row['clock_time']}, "
               f"skew {row['clock_skew']}, "
               f"slowest robot {row['slowest_robot']}")
-        print(f"async bound 2n/k + 4D^2: "
-              f"{async_cte_bound(tree.n, tree.depth, args.k):.0f}")
-        for report in reporters:
-            report()
-        return 0 if row["complete"] else 1
-    print(f"{setup} with k={args.k}: {row['rounds']} rounds "
-          f"(complete={row['complete']}, all home={row['all_home']})")
+    else:
+        print(f"{setup} with k={args.k}: {row['rounds']} rounds "
+              f"(complete={row['complete']}, all home={row['all_home']})")
     if spec.adversary is not None and spec.kind == "tree":
         print(f"adversary {spec.adversary}: wall rounds {row['wall_rounds']}, "
               f"A(M)={row['average_allowed']}, "
@@ -186,7 +176,12 @@ def cmd_explore(args) -> int:
               f"blocked {row['blocked_moves']} of "
               f"{int(row['blocked_moves']) + int(row['executed_moves'])} moves "
               f"(interference {row['interference']})")
-    print(f"Theorem 1 bound: {bound:.0f}; 2n/k = {2 * tree.n / args.k:.0f}")
+    budgets = budgets_for_scenario(built)
+    for budget in budgets:
+        print(f"{budget.source} bound: {budget.limit:.0f} "
+              f"({budget.name}: {budget.description})")
+    if not budgets and spec.adversary is None:
+        print(f"no proven bound applies to {args.algorithm}")
     for report in reporters:
         report()
     return 0 if row["complete"] else 1

@@ -107,14 +107,3 @@ def check_open_node_coverage(
                 f"by any claim in {sorted(claim_set)}"
             )
         stack.extend(ptree.explored_children(u))
-
-
-def explored_subtree_nodes(expl: Exploration, root: int) -> List[int]:
-    """All explored nodes of ``T(root)``, preorder."""
-    out = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(expl.ptree.explored_children(u))
-    return out

@@ -9,7 +9,8 @@ One subsystem, four pieces (see DESIGN.md "Telemetry" for the schema):
 * :mod:`~repro.obs.budget` — the paper's theorem bounds as live runtime
   budgets (:class:`BudgetObserver`);
 * :mod:`~repro.obs.logconf` / :mod:`~repro.obs.tail` — stdlib logging
-  setup and the ``repro tail`` summary renderer.
+  setup and the ``repro tail`` summary renderer (import the ``tail``
+  function from the submodule: the package attribute is the module).
 
 The :mod:`~repro.obs.report` names (``collect_matrix``, ``render_html``,
 ...) are re-exported lazily: the cost matrix pulls in
@@ -47,7 +48,7 @@ from .schema import (
     new_trace_id,
     validate_events,
 )
-from .tail import summarize, tail
+from .tail import summarize
 from .writer import (
     NullWriter,
     TelemetryConfig,
@@ -105,6 +106,5 @@ __all__ = [
     "render_markdown",
     "run_telemetry_job",
     "summarize",
-    "tail",
     "validate_events",
 ]

@@ -11,17 +11,11 @@ structured ``violation`` telemetry event emitted at the exact round a
 bound is crossed.
 
 :func:`budgets_for_scenario` derives the applicable guards from a built
-scenario: plain BFDN variants on adversary-free tree scenarios get the
-Theorem 1 and Lemma 2 budgets, the fixed-``ell`` recursive entries the
-Theorem 10 budget, the follow-up algorithms their literature bounds
-(``tree-mining`` — Theorem 10 at the uniform mining depth,
-arXiv:2309.07011; ``potential-cte`` — ``2n/k + C D^2``,
-arXiv:2311.01354), async-tree scenarios the asynchronous completion-time
-budget (``async-cte`` — ``2n/k + C D^2`` in per-robot clock time,
-arXiv:2507.15658), graph scenarios the Proposition 9 budget, game
-scenarios the Theorem 3 budget.  Algorithms the paper proves nothing
-about (``cte``, ``dfs``) get no guard — a budget is an assertion, not a
-comparison.
+scenario: an adversary-free tree or async-tree scenario gets the budgets
+of its algorithm's :class:`~repro.registry.AlgorithmEntry` (Theorem 1
+and Lemma 2 for the BFDN variants, the follow-ups' literature bounds,
+none for ``cte`` and ``dfs``), graph scenarios the Proposition 9 budget,
+game scenarios the Theorem 3 budget.
 """
 
 from __future__ import annotations
@@ -31,20 +25,26 @@ from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import registry
 from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
 from .writer import NullWriter
 
 logger = logging.getLogger(__name__)
 
-#: Tree algorithms Theorem 1 / Lemma 2 are proved for (BFDN and the
-#: variants that preserve its re-anchoring structure).
+#: Tree algorithms monitored against Theorem 1 / Lemma 2 (a view of the
+#: registry entries).
 THEOREM1_ALGORITHMS = frozenset(
-    {"bfdn", "bfdn-wr", "bfdn-shortcut", "bfdn-checked"}
+    name for name, entry in registry.ALGORITHM_ENTRIES.items()
+    if any(spec.name == "theorem1" for spec in entry.budgets)
 )
 
 #: Fixed-recursion-depth BFDN_ell entries, monitored against Theorem 10
-#: at their declared ``ell``.
-THEOREM10_ALGORITHMS = {"bfdn-ell2": 2, "bfdn-ell3": 3}
+#: at their ``ell``.
+THEOREM10_ALGORITHMS = {
+    name: entry.factory().ell
+    for name, entry in registry.ALGORITHM_ENTRIES.items()
+    if any(spec.name == "theorem10" for spec in entry.budgets)
+}
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class Budget:
     #: Measures the bounded quantity after each round.
     value: Callable[[RoundState, RoundRecord], float]
     description: str = ""
+    #: The result the limit comes from, or "empirical".
+    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,28 @@ class _InteriorReanchors:
         return float(self._worst)
 
 
+#: Per budget quantity (see :class:`~repro.registry.BudgetSpec`): the
+#: scenario kind it is measured in and its value function for one tree.
+_QUANTITIES = {
+    "billed rounds": ("tree", lambda tree: _billed),
+    "interior re-anchors": (
+        "tree", lambda tree: _InteriorReanchors(max_depth=tree.depth)
+    ),
+    "async completion time": ("async-tree", lambda tree: _clock_completion),
+}
+
+#: Sources of the budgets that belong to a scenario kind, not an algorithm.
+_KIND_SOURCES = {"proposition9": "Proposition 9", "theorem3": "Theorem 3"}
+
+
+def budget_sources() -> Dict[str, str]:
+    """Budget name → source, for every budget a scenario can carry."""
+    sources = dict(_KIND_SOURCES)
+    for entry in registry.ALGORITHM_ENTRIES.values():
+        sources.update((spec.name, spec.source) for spec in entry.budgets)
+    return sources
+
+
 def budgets_for_scenario(built) -> List[Budget]:
     """The theorem budgets applicable to one built scenario.
 
@@ -292,115 +316,47 @@ def budgets_for_scenario(built) -> List[Budget]:
     adversarial runs whose accounting is Proposition 7's, not
     Theorem 1's) return an empty list rather than a vacuous check.
     """
-    from ..bounds.guarantees import (
-        bfdn_bound,
-        bfdn_ell_bound,
-        lemma2_bound,
-        potential_cte_bound,
-        theorem3_bound,
-        tree_mining_bound,
-        tree_mining_ell,
-    )
-
     spec = built.spec
-    budgets: List[Budget] = []
-    if spec.kind == "tree" and spec.adversary is None:
-        if spec.algorithm in THEOREM1_ALGORITHMS:
-            tree = built.tree
-            budgets.append(
-                Budget(
-                    name="theorem1",
-                    limit=bfdn_bound(tree.n, tree.depth, spec.k, tree.max_degree),
-                    value=_billed,
-                    description="2n/k + D^2 (min(log Delta, log k) + 3) rounds",
-                )
-            )
-            budgets.append(
-                Budget(
-                    name="lemma2",
-                    limit=lemma2_bound(spec.k, tree.max_degree),
-                    value=_InteriorReanchors(max_depth=tree.depth),
-                    description="k (min(log Delta, log k) + 3) re-anchors "
-                    "at any interior depth",
-                )
-            )
-        elif spec.algorithm in THEOREM10_ALGORITHMS:
-            tree = built.tree
-            ell = THEOREM10_ALGORITHMS[spec.algorithm]
-            budgets.append(
-                Budget(
-                    name="theorem10",
-                    limit=bfdn_ell_bound(
-                        tree.n, tree.depth, spec.k, ell, tree.max_degree
-                    ),
-                    value=_billed,
-                    description=f"4n/k^(1/{ell}) + 2^{ell + 1} "
-                    f"(ell + 1 + min(log Delta, log k / ell)) D^(1+1/{ell}) "
-                    "rounds (Theorem 10)",
-                )
-            )
-        elif spec.algorithm == "tree-mining":
-            tree = built.tree
-            budgets.append(
-                Budget(
-                    name="tree-mining",
-                    limit=tree_mining_bound(
+    if spec.kind in ("tree", "async-tree") and spec.adversary is None:
+        tree = built.tree
+        budgets = []
+        for bound in registry.algorithm_entry(spec.algorithm).budgets:
+            kind, value = _QUANTITIES[bound.quantity]
+            if kind == spec.kind:
+                budgets.append(Budget(
+                    name=bound.name,
+                    limit=bound.limit(
                         tree.n, tree.depth, spec.k, tree.max_degree
                     ),
-                    value=_billed,
-                    description="Theorem 10 at the uniform mining depth "
-                    f"ell(k)={tree_mining_ell(spec.k)}: "
-                    "4n/2^sqrt(log2 k) + additive term (arXiv:2309.07011)",
-                )
-            )
-        elif spec.algorithm == "potential-cte":
-            tree = built.tree
-            budgets.append(
-                Budget(
-                    name="potential-cte",
-                    limit=potential_cte_bound(tree.n, tree.depth, spec.k),
-                    value=_billed,
-                    description="2n/k + C D^2 rounds (arXiv:2311.01354; "
-                    "implementation-pinned C)",
-                )
-            )
-    elif spec.kind == "async-tree" and spec.algorithm == "async-cte":
-        from ..bounds.guarantees import async_cte_bound
-
-        tree = built.tree
-        budgets.append(
-            Budget(
-                name="async-cte",
-                limit=async_cte_bound(tree.n, tree.depth, spec.k),
-                value=_clock_completion,
-                description="2n/k + C D^2 completion time under any speed "
-                "schedule (arXiv:2507.15658; implementation-pinned C)",
-            )
-        )
-    elif spec.kind == "graph":
+                    value=value(tree),
+                    description=bound.description,
+                    source=bound.source,
+                ))
+        return budgets
+    if spec.kind == "graph":
         from ..graphs.exploration import proposition9_bound
 
         graph = built.graph
-        budgets.append(
-            Budget(
-                name="proposition9",
-                limit=proposition9_bound(
-                    graph.num_edges, graph.radius, spec.k, graph.max_degree
-                ),
-                value=_billed,
-                description="Proposition 9 graph-exploration rounds",
-            )
-        )
-    elif spec.kind == "game":
-        budgets.append(
-            Budget(
-                name="theorem3",
-                limit=theorem3_bound(spec.k, built.delta),
-                value=_billed,
-                description="k min(log Delta, log k) + 2k urn-game steps",
-            )
-        )
-    return budgets
+        return [Budget(
+            name="proposition9",
+            limit=proposition9_bound(
+                graph.num_edges, graph.radius, spec.k, graph.max_degree
+            ),
+            value=_billed,
+            description="Proposition 9 graph-exploration rounds",
+            source=_KIND_SOURCES["proposition9"],
+        )]
+    if spec.kind == "game":
+        from ..bounds.guarantees import theorem3_bound
+
+        return [Budget(
+            name="theorem3",
+            limit=theorem3_bound(spec.k, built.delta),
+            value=_billed,
+            description="k min(log Delta, log k) + 2k urn-game steps",
+            source=_KIND_SOURCES["theorem3"],
+        )]
+    return []
 
 
 __all__ = [
@@ -410,5 +366,6 @@ __all__ = [
     "MarginSample",
     "THEOREM1_ALGORITHMS",
     "THEOREM10_ALGORITHMS",
+    "budget_sources",
     "budgets_for_scenario",
 ]

@@ -2,7 +2,8 @@
 
 This backs ``python -m repro tail DIR``: it folds a JSONL event log
 (one file or a directory of ``trace-*.jsonl``) into per-span summaries —
-duration, rounds/sec, final theorem-budget margins, violation count —
+duration, rounds/sec, final theorem-budget margins (each with its
+source: the theorem it checks, or "empirical"), violation count —
 plus trace-level aggregates (total runs, slowest spans, whether every
 span closed cleanly).  Traces from asynchronous runs additionally get a
 clock-skew section attributing each span's wall time to its slowest
@@ -15,6 +16,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .budget import budget_sources
 from .schema import TelemetryEvent, validate_events
 from .writer import load_trace
 
@@ -189,11 +191,14 @@ def summarize(events: Iterable[TelemetryEvent]) -> TraceSummary:
     return summary
 
 
-def _fmt_margin(margins: Dict[str, float]) -> str:
+def _fmt_margin(margins: Dict[str, float], sources: Dict[str, str]) -> str:
+    """``name=+margin [source]`` per budget; names this build does not
+    know (an older trace) print without a source."""
     if not margins:
         return "-"
     return " ".join(
-        f"{name}={value:+.1f}" for name, value in sorted(margins.items())
+        f"{name}={value:+.1f}" + (f" [{sources[name]}]" if name in sources else "")
+        for name, value in sorted(margins.items())
     )
 
 
@@ -372,11 +377,12 @@ def render(
             f"{'viol':>4}  margins"
         )
         lines.append(header)
+        sources = budget_sources()
         for span in job_spans[:slowest]:
             lines.append(
                 f"  {span.span_id:<14} {(span.label or '-')[:24]:<24} "
                 f"{span.duration or 0.0:>8.3f} {span.rounds:>8} "
-                f"{span.violations:>4}  {_fmt_margin(span.margins)}"
+                f"{span.violations:>4}  {_fmt_margin(span.margins, sources)}"
             )
     clock_lines = render_clocks(summary, limit=slowest)
     if clock_lines:

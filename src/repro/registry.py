@@ -4,9 +4,9 @@ Historically the CLI and the sweep runner each kept their own
 ``ALGORITHMS`` dict; they drifted (the CLI was missing ``bfdn-shortcut``)
 and the orchestrator needs one canonical name space so that job
 fingerprints resolve identically everywhere.  This module is that single
-source of truth: algorithm factories addressable by name, the set of
-algorithms that run under the shared-reveal model, the named tree/graph
-families, and — for the scenario layer (:mod:`repro.scenario`) — the
+source of truth: one entry per tree algorithm (its factory, knobs,
+reveal model, async capability and monitored budgets), the named
+tree/graph families, and — for the scenario layer (:mod:`repro.scenario`) — the
 named break-down adversaries (Proposition 7), reactive adversaries
 (Remark 8), re-anchor policies (the Lemma 2 ablations) and urn-game
 players/adversaries (Section 3).
@@ -20,10 +20,19 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .algos import AsyncCTE, PotentialCTE, TreeMining
 from .baselines import CTE, OnlineDFS
+from .bounds.guarantees import (
+    async_cte_bound,
+    bfdn_bound,
+    bfdn_ell_bound,
+    lemma2_bound,
+    potential_cte_bound,
+    tree_mining_bound,
+)
 from .core import BFDN, BFDNEll, ShortcutBFDN, WriteReadBFDN
 from .core.invariants import CheckedBFDN
 from .graphs.graph import Graph
@@ -33,83 +42,132 @@ from .trees import generators as gen
 from .trees.adversarial import cte_trap_tree, reanchor_stress_tree
 from .trees.tree import Tree
 
-#: Algorithms addressable by name (picklable indirection: job specs and
-#: CLI flags carry the *name*, workers build a fresh instance per run).
-ALGORITHMS: Dict[str, Callable[[], object]] = {
-    "bfdn": BFDN,
-    "bfdn-wr": WriteReadBFDN,
-    "bfdn-shortcut": ShortcutBFDN,
-    "bfdn-checked": CheckedBFDN,
-    "bfdn-ell2": lambda: BFDNEll(2),
-    "bfdn-ell3": lambda: BFDNEll(3),
-    "cte": CTE,
-    "dfs": OnlineDFS,
-    # Follow-up literature (repro.algos): the tree-mining schedule of
-    # arXiv:2309.07011 and the potential-function CTE of arXiv:2311.01354.
-    "tree-mining": TreeMining,
-    "potential-cte": PotentialCTE,
-    # The distributed whiteboard strategy of arXiv:2507.15658 — the only
-    # entry that is also async-capable (see ASYNC_ALGORITHMS); under the
-    # default synchronous scheduler it runs like any other strategy.
-    "async-cte": AsyncCTE,
-}
 
-#: Construction knobs each factory honours.  ``make_algorithm`` accepts
-#: two knobs — ``policy`` (a named re-anchor policy, the Lemma 2 ablation)
-#: and ``seed`` (algorithm-side randomness, today only consumed by seeded
-#: policies) — and this table declares, per algorithm, which of them
-#: actually reach the factory.  A knob passed to an algorithm that does
-#: not declare it is *rejected by name* instead of silently dropped, and
-#: registering an algorithm without declaring its knobs fails at import.
-ALGORITHM_KNOBS: Dict[str, frozenset] = {
-    "bfdn": frozenset({"policy", "seed"}),
-    "bfdn-wr": frozenset(),
-    "bfdn-shortcut": frozenset({"policy", "seed"}),
-    "bfdn-checked": frozenset(),
-    "bfdn-ell2": frozenset(),
-    "bfdn-ell3": frozenset(),
-    "cte": frozenset(),
-    "dfs": frozenset(),
-    "tree-mining": frozenset(),
-    "potential-cte": frozenset(),
-    "async-cte": frozenset(),
-}
+@dataclass(frozen=True)
+class BudgetSpec:
+    """A bound an algorithm is monitored against at run time.
 
-if set(ALGORITHM_KNOBS) != set(ALGORITHMS):  # pragma: no cover - import guard
-    raise RuntimeError(
-        "ALGORITHM_KNOBS out of sync with ALGORITHMS: every registered "
-        "algorithm must declare which construction knobs it honours"
-    )
+    :func:`repro.obs.budget.budgets_for_scenario` builds the live budgets
+    from these.  ``quantity`` is what the bound limits: ``"billed
+    rounds"``, ``"interior re-anchors"`` or ``"async completion time"``;
+    ``limit`` maps ``(n, D, k, Delta)`` to the bound.  ``source`` is a
+    result of the source paper (``"Theorem 1"``), a follow-up paper, or
+    ``"empirical"`` when the constant is fitted to this implementation.
+    """
 
-#: Algorithms whose constructor accepts a ``policy=`` re-anchor policy
-#: (derived from :data:`ALGORITHM_KNOBS`).
-POLICY_ALGORITHMS = frozenset(
-    name for name, knobs in ALGORITHM_KNOBS.items() if "policy" in knobs
+    name: str
+    quantity: str
+    limit: Callable[[int, int, int, int], float]
+    description: str
+    source: str
+
+
+@dataclass(frozen=True)
+class AlgorithmEntry:
+    """Everything the registry knows about one tree algorithm.
+
+    ``knobs``: the construction knobs the factory honours (others are
+    rejected by name); ``shared_reveal``: two robots may reveal through
+    one dangling edge in a round; ``async_capable``: each agent decides
+    from node-local information only, so ``kind=async-tree`` may run it.
+    A name registered at runtime gets the defaults.
+    """
+
+    factory: Callable[..., object]
+    knobs: frozenset = frozenset()
+    shared_reveal: bool = False
+    async_capable: bool = False
+    budgets: Tuple[BudgetSpec, ...] = ()
+
+
+_POLICY = frozenset({"policy", "seed"})
+
+#: Theorem 1 and Lemma 2 hold for BFDN and the variants that keep its
+#: re-anchoring structure.
+_BFDN_BUDGETS = (
+    BudgetSpec("theorem1", "billed rounds", bfdn_bound,
+               "2n/k + D^2 (min(log Delta, log k) + 3) rounds", "Theorem 1"),
+    BudgetSpec("lemma2", "interior re-anchors",
+               lambda n, depth, k, delta: lemma2_bound(k, delta),
+               "k (min(log Delta, log k) + 3) re-anchors at any interior "
+               "depth", "Lemma 2"),
 )
 
-#: Algorithms whose model permits two robots to traverse the same
-#: dangling edge in one round (CTE's model; forbidden for BFDN, and not
-#: needed by ``potential-cte``, which hands each port to one robot).
-#: ``async-cte``'s whiteboard port rotation may wrap when more agents
-#: than ports share a node, so it runs under the shared-reveal model.
-SHARED_REVEAL = frozenset({"cte", "async-cte"})
 
-#: Algorithms whose decision rule is *distributed* — each agent decides
-#: from node-local information only, never from another agent's position
-#: or clock — and therefore well-defined under the asynchronous
-#: scheduler.  Only these may appear in ``kind=async-tree`` scenarios.
-ASYNC_ALGORITHMS = frozenset({"async-cte"})
+def _bfdn_ell(ell: int) -> AlgorithmEntry:
+    return AlgorithmEntry(lambda: BFDNEll(ell), budgets=(BudgetSpec(
+        "theorem10", "billed rounds",
+        lambda n, depth, k, delta: bfdn_ell_bound(n, depth, k, ell, delta),
+        f"4n/k^(1/{ell}) + 2^{ell + 1} (ell + 1 + min(log Delta, log k / "
+        f"ell)) D^(1+1/{ell}) rounds (Theorem 10)", "Theorem 10"),))
+
+
+#: One entry per tree algorithm, by name (picklable indirection: job
+#: specs and CLI flags carry the *name*, workers build a fresh instance
+#: per run).  Nothing is proved about ``cte`` and ``dfs``, so they carry
+#: no budget: a budget is an assertion, not a comparison.
+ALGORITHM_ENTRIES: Dict[str, AlgorithmEntry] = {
+    "bfdn": AlgorithmEntry(BFDN, knobs=_POLICY, budgets=_BFDN_BUDGETS),
+    "bfdn-wr": AlgorithmEntry(WriteReadBFDN, budgets=_BFDN_BUDGETS),
+    "bfdn-shortcut": AlgorithmEntry(
+        ShortcutBFDN, knobs=_POLICY, budgets=_BFDN_BUDGETS
+    ),
+    "bfdn-checked": AlgorithmEntry(CheckedBFDN, budgets=_BFDN_BUDGETS),
+    "bfdn-ell2": _bfdn_ell(2),
+    "bfdn-ell3": _bfdn_ell(3),
+    "cte": AlgorithmEntry(CTE, shared_reveal=True),
+    "dfs": AlgorithmEntry(OnlineDFS),
+    # Follow-up literature (repro.algos).
+    "tree-mining": AlgorithmEntry(TreeMining, budgets=(BudgetSpec(
+        "tree-mining", "billed rounds", tree_mining_bound,
+        "Theorem 10 at the uniform mining depth ell(k) = ceil(sqrt(log2 "
+        "k)): 4n/2^sqrt(log2 k) + additive term (arXiv:2309.07011)",
+        "arXiv:2309.07011"),)),
+    "potential-cte": AlgorithmEntry(PotentialCTE, budgets=(BudgetSpec(
+        "potential-cte", "billed rounds",
+        lambda n, depth, k, delta: potential_cte_bound(n, depth, k),
+        "2n/k + C D^2 rounds (arXiv:2311.01354; implementation-pinned C)",
+        "empirical"),)),
+    # Its whiteboard port rotation may wrap when more agents than ports
+    # share a node, hence the shared-reveal model.
+    "async-cte": AlgorithmEntry(
+        AsyncCTE, shared_reveal=True, async_capable=True, budgets=(BudgetSpec(
+            "async-cte", "async completion time",
+            lambda n, depth, k, delta: async_cte_bound(n, depth, k),
+            "2n/k + C D^2 completion time under any speed schedule "
+            "(arXiv:2507.15658; implementation-pinned C)", "empirical"),),
+    ),
+}
+
+#: Name → factory.  Tests and plugins register extra algorithms here at
+#: runtime; such a name gets the :class:`AlgorithmEntry` defaults.
+ALGORITHMS: Dict[str, Callable[[], object]] = {
+    name: entry.factory for name, entry in ALGORITHM_ENTRIES.items()
+}
+
+# Views of ALGORITHM_ENTRIES for the modules that read one field.
+ALGORITHM_KNOBS = {name: e.knobs for name, e in ALGORITHM_ENTRIES.items()}
+POLICY_ALGORITHMS = frozenset(n for n, k in ALGORITHM_KNOBS.items() if "policy" in k)
+SHARED_REVEAL = frozenset(n for n, e in ALGORITHM_ENTRIES.items() if e.shared_reveal)
+ASYNC_ALGORITHMS = frozenset(n for n, e in ALGORITHM_ENTRIES.items() if e.async_capable)
+
+
+def algorithm_entry(name: str) -> AlgorithmEntry:
+    """``name``'s entry, or the defaults for a name registered at runtime.
+
+    ``ValueError`` for unknown names."""
+    if name not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {name!r} (known: {', '.join(sorted(ALGORITHMS))})"
+        )
+    return ALGORITHM_ENTRIES.get(name) or AlgorithmEntry(ALGORITHMS[name])
 
 
 def algorithm_knobs(name: str) -> frozenset:
-    """The construction knobs ``name``'s factory honours (see
-    :data:`ALGORITHM_KNOBS`); ``ValueError`` for unknown names."""
-    try:
-        return ALGORITHM_KNOBS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {name!r} (known: {', '.join(sorted(ALGORITHMS))})"
-        ) from None
+    """The construction knobs ``name``'s factory honours.
+
+    ``ValueError`` for unknown names."""
+    return algorithm_entry(name).knobs
 
 
 def make_algorithm(name: str, policy: Optional[str] = None, seed: int = 0):
@@ -122,25 +180,18 @@ def make_algorithm(name: str, policy: Optional[str] = None, seed: int = 0):
     knob: it is always accepted (every run carries one), and it reaches
     the factory exactly when the algorithm declares the ``seed`` knob —
     today the seeded re-anchor policies; the deterministic algorithms
-    ignore it by declared contract (:data:`ALGORITHM_KNOBS`) rather than
-    by accident.  Raises ``ValueError`` for unknown names so callers
+    ignore it by declared contract (:attr:`AlgorithmEntry.knobs`) rather
+    than by accident.  Raises ``ValueError`` for unknown names so callers
     surface typos instead of silently caching results under a bogus key.
     """
-    try:
-        factory = ALGORITHMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {name!r} (known: {', '.join(sorted(ALGORITHMS))})"
-        ) from None
-    # Entries injected at runtime (tests, plugins) may not be in the
-    # static knob table; they honour no knobs unless they declare some.
-    knobs = ALGORITHM_KNOBS.get(name, frozenset())
+    knobs = algorithm_knobs(name)  # ValueError for unknown names
     if policy is not None and "policy" not in knobs:
         raise ValueError(
             f"algorithm {name!r} rejected knob policy={policy!r}: it does "
             "not take a re-anchor policy (policy-capable: "
             f"{', '.join(sorted(POLICY_ALGORITHMS))})"
         )
+    factory = ALGORITHMS[name]
     if policy is not None:
         return factory(policy=make_reanchor_policy(policy, seed=seed))
     return factory()
@@ -613,8 +664,11 @@ def make_game_adversary(name: str, seed: int = 0, *, k: int = 1, delta: int = 1)
 __all__ = [
     "ADVERSARIES",
     "ALGORITHMS",
+    "ALGORITHM_ENTRIES",
     "ALGORITHM_KNOBS",
     "ASYNC_ALGORITHMS",
+    "AlgorithmEntry",
+    "BudgetSpec",
     "ENTRY_POINTS",
     "GAME_ADVERSARIES",
     "GAME_FAMILY",
@@ -625,6 +679,7 @@ __all__ = [
     "ROUND_OBSERVERS",
     "SHARED_REVEAL",
     "SPEED_SCHEDULES",
+    "algorithm_entry",
     "algorithm_knobs",
     "make_algorithm",
     "make_breakdown_adversary",

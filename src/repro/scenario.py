@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import registry
 from .orchestrator.jobspec import SCHEMA_VERSION, TreeSpec

@@ -25,8 +25,9 @@ that status maps onto.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from ..orchestrator.jobspec import SCHEMA_VERSION
 from ..scenario import ScenarioSpec

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -129,3 +134,63 @@ class TestSweepCommand:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "random-n40-s0" in out and "random-n40-s1" in out
+
+
+class TestExploreBounds:
+    """``explore`` prints the budgets the scenario is monitored against."""
+
+    @staticmethod
+    def _explore(capsys, *argv):
+        assert main(["explore", "-n", "80", "-k", "4", *argv]) == 0
+        out = capsys.readouterr().out
+        tree_line = next(li for li in out.splitlines() if li.startswith("tree:"))
+        fields = dict(f.split("=") for f in tree_line.split()[1:])
+        return out, int(fields["n"]), int(fields["D"])
+
+    def test_cte_has_no_proven_bound(self, capsys):
+        out, _, _ = self._explore(capsys, "--algorithm", "cte")
+        assert "Theorem 1 bound" not in out
+        assert "no proven bound applies to cte" in out
+
+    def test_potential_cte_prints_its_limit(self, capsys):
+        from repro.bounds import potential_cte_bound
+
+        out, n, depth = self._explore(capsys, "--algorithm", "potential-cte")
+        limit = potential_cte_bound(n, depth, 4)
+        assert f"empirical bound: {limit:.0f} (potential-cte:" in out
+        assert "Theorem 1 bound" not in out
+
+    def test_async_cte_prints_its_limit_and_source(self, capsys):
+        from repro.bounds import async_cte_bound
+
+        out, n, depth = self._explore(
+            capsys, "--algorithm", "async-cte", "--speed", "unit"
+        )
+        limit = async_cte_bound(n, depth, 4)
+        assert f"empirical bound: {limit:.0f} (async-cte:" in out
+
+
+class TestClosedPipe:
+    # About 150 kB of frames: more than a 64 KiB pipe buffer holds, so the
+    # command is still writing when the reader goes away.
+    ARGV = [sys.executable, "-m", "repro", "demo", "-n", "200", "-k", "4",
+            "--rounds", "100"]
+
+    @staticmethod
+    def _env():
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def test_reader_closing_early_exits_quietly(self):
+        full = subprocess.run(self.ARGV, env=self._env(), capture_output=True,
+                              timeout=120)
+        assert len(full.stdout) > 64 * 1024
+        with subprocess.Popen(self.ARGV, env=self._env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(16)
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in stderr

@@ -1,7 +1,12 @@
 """The ``repro tail`` trace summariser."""
 
-from repro.obs import TelemetryEvent, summarize, tail
-from repro.obs.tail import render
+import os
+import subprocess
+import sys
+
+import repro
+from repro.obs import TelemetryEvent, summarize
+from repro.obs.tail import render, tail
 
 TRACE = "ab" * 8
 SPAN_A = "aa" * 6
@@ -170,3 +175,24 @@ class TestResources:
         span = summarize(events).spans[(TRACE, SPAN_A)]
         assert span.meta["algorithm"] == "bfdn"
         assert span.meta["size"] == 120
+
+
+class TestBudgetSources:
+    def test_margin_carries_its_source(self):
+        events = [e for e in _demo_events() if e.event != "violation"]
+        text = "\n".join(render(summarize(events)))
+        assert "theorem1=+42.5 [Theorem 1]" in text
+
+    def test_tail_submodule_imports_as_a_module(self):
+        # ``import a.b as c`` binds the package attribute ``a.b``: it must
+        # be the module, not a re-exported function of the same name.
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.obs.tail as t; print(t.render.__name__, t.tail.__name__)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["render", "tail"]
