@@ -8,7 +8,7 @@ Theorem 3 bounds the urn game's steps and Proposition 9 the graph
 engine's rounds.  Historically these were checked after a run finished;
 :class:`BudgetObserver` turns each into a per-round margin series and a
 structured ``violation`` telemetry event emitted at the exact round a
-bound is crossed.
+bound is crossed (on the array fast path: at the run's terminal round).
 
 :func:`budgets_for_scenario` derives the applicable guards from a built
 scenario: an adversary-free tree or async-tree scenario gets the budgets
@@ -54,7 +54,13 @@ class Budget:
     #: Stable identifier ("theorem1", "lemma2", "theorem3", "proposition9").
     name: str
     limit: float
-    #: Measures the bounded quantity after each round.
+    #: Measures the bounded quantity after each round.  The quantity
+    #: must be cumulative (never decreasing over a run): billed rounds,
+    #: worst interior re-anchors and completion time all are.  A
+    #: fast-path run measures it only once, after its terminal round,
+    #: and still reports the same ``violations`` and ``margin_*`` as a
+    #: round-by-round measurement, because a cumulative quantity peaks
+    #: at the end of the run.
     value: Callable[[RoundState, RoundRecord], float]
     description: str = ""
     #: The result the limit comes from, or "empirical".
@@ -95,7 +101,17 @@ class BudgetObserver(RoundObserver):
     observer emits a ``violation`` event *immediately* (same round, not
     at flush time) and records it in :attr:`violations`; each budget
     fires at most once per run.
+
+    Batch-capable: a run on the array fast path measures each budget
+    once, on its terminal quiescent round (:meth:`on_batch`).  Its trace
+    then holds only the final ``budget`` event, no every-``every`` ones,
+    and a violation event carries the terminal round rather than the
+    crossing round.  The violation count and margins are unchanged (see
+    :attr:`Budget.value`).  Attach any per-round observer to keep the
+    run on the scheduler loop and see the crossing round.
     """
+
+    supports_batch = True
 
     def __init__(
         self,
@@ -133,8 +149,36 @@ class BudgetObserver(RoundObserver):
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Measure every budget and fire violations the moment they occur."""
+        sample_round = (record.t + 1) % self.every == 0
+        self._measure(state, record, sample_round)
+        if sample_round and self.budgets:
+            self._flush(record.t, final=False)
+
+    def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
+        """Measure every budget once, on the run's terminal round.
+
+        That quiescent round is the only one a fast-path run exposes.
+        Every budget quantity is cumulative, so the terminal value is
+        the run's maximum: margins and violation counts equal the
+        scheduler loop's, only the violation's round is the last one.
+        """
+        rounds = summary["rounds"]
+        if not rounds:
+            return
+        billed = summary["billed"]
+        record = RoundRecord(
+            t=rounds - 1, billed_before=billed, billed=billed, moves={},
+            struck=set(), movable=None, before=None, progressed=False,
+        )
+        self._measure(state, record, sample_round=False)
+
+    def _measure(
+        self, state: RoundState, record: RoundRecord, sample_round: bool
+    ) -> None:
+        """Measure every budget after ``record``'s round; add the point
+        to the margin series on sample rounds and fire each budget's
+        first violation."""
         t = record.t
-        sample_round = (t + 1) % self.every == 0
         latest = self._latest
         for budget in self.budgets:
             value = float(budget.value(state, record))
@@ -147,14 +191,13 @@ class BudgetObserver(RoundObserver):
             if margin < 0 and budget.name not in self._fired:
                 self._fired.add(budget.name)
                 violation = BudgetViolation(
-                    budget=budget.name, t=record.t, value=value,
-                    limit=budget.limit,
+                    budget=budget.name, t=t, value=value, limit=budget.limit,
                 )
                 self.violations.append(violation)
                 logger.warning(
                     "budget violation: %s value %.1f exceeds limit %.1f "
                     "at round %d (%s)", budget.name, value, budget.limit,
-                    record.t, self.label or "unlabelled run",
+                    t, self.label or "unlabelled run",
                 )
                 self.writer.emit(
                     "violation",
@@ -163,15 +206,13 @@ class BudgetObserver(RoundObserver):
                     label=self.label,
                     data={
                         "budget": budget.name,
-                        "t": record.t,
+                        "t": t,
                         "value": value,
                         "limit": round(budget.limit, 3),
                         "margin": round(margin, 3),
                         "description": budget.description,
                     },
                 )
-        if sample_round and self.budgets:
-            self._flush(record.t, final=False)
 
     def on_stop(self, state: RoundState, outcome: RunOutcome) -> None:
         """Record the terminal margins and flush the final budget event."""

@@ -277,9 +277,14 @@ class MetricsObserver(RoundObserver):
     rounds — and once at termination — the cumulative counters are
     flushed as one ``round`` telemetry event carrying the observer's
     trace/span ids.
+
+    Batch-capable: on the array fast path the same counters arrive in
+    one whole-run summary (:meth:`on_batch`), so such a run emits no
+    intermediate ``round`` events, only the final one.
     """
 
     wants_phase_timing = True
+    supports_batch = True
 
     def __init__(
         self,
@@ -379,6 +384,21 @@ class MetricsObserver(RoundObserver):
             self._reanchor_seen = total
         if self.rounds % self.every == 0:
             self._flush(record.t + 1, final=False)
+
+    def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
+        """Take the array fast path's whole-run totals as the counters.
+
+        Its phase times fold into the histograms once."""
+        self.rounds = summary["rounds"]
+        self.billed_rounds = summary["billed"]
+        self.moves = summary["moves"]
+        self.idle = summary["idle"]
+        self.reveals = summary["reveals"]
+        self.reanchors = summary["reanchors"]
+        phases = summary["phases"]
+        self.on_phase_times(
+            phases["select"], phases["apply"], phases["observe"]
+        )
 
     def on_stop(self, state: RoundState, outcome: RunOutcome) -> None:
         """Flush the final cumulative ``round`` event and the gauges.

@@ -144,6 +144,7 @@ def run_telemetry_job(
                 "wall_rounds": row.get("wall_rounds", 0),
                 "complete": row.get("complete", False),
                 "violations": row.get("violations", 0),
+                "backend": row.get("backend", "reference"),
             },
         )
     return row

@@ -7,11 +7,13 @@ with the same six-kind vocabulary:
 ``run_start`` / ``run_end``
     Brackets one span (one simulation run, or one whole sweep when the
     ``span_id`` equals the ``trace_id``).  ``run_end`` carries the run's
-    outcome summary in ``data``.
+    outcome summary in ``data``, including ``backend``: the loop that
+    ran it (``array`` or ``reference``).
 ``round``
     Periodic per-round metrics flushed by
     :class:`~repro.obs.metrics.MetricsObserver` (cumulative moves,
-    idles, reveals, re-anchors, interference blocks, phase times).
+    idles, reveals, re-anchors, interference blocks, phase times).  A
+    run on the array fast path emits only the final one.
 ``span``
     A job state transition relayed from the orchestrator's
     :class:`~repro.orchestrator.events.SweepEvent` stream
@@ -21,7 +23,8 @@ with the same six-kind vocabulary:
     :class:`~repro.obs.budget.BudgetObserver`.
 ``violation``
     A theorem bound was crossed — the paper's guarantees as runtime
-    assertions; emitted at the exact round the margin goes negative.
+    assertions; emitted at the exact round the margin goes negative
+    (on the array fast path: at the run's terminal round).
 ``request``
     One scenario request served by the ``repro serve`` daemon
     (client id, outcome source ``cache``/``dedup``/``fresh``, status,

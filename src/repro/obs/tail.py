@@ -2,7 +2,8 @@
 
 This backs ``python -m repro tail DIR``: it folds a JSONL event log
 (one file or a directory of ``trace-*.jsonl``) into per-span summaries —
-duration, rounds/sec, final theorem-budget margins (each with its
+duration, rounds/sec, the loop that ran it (array fast path or
+reference scheduler loop), final theorem-budget margins (each with its
 source: the theorem it checks, or "empirical"), violation count —
 plus trace-level aggregates (total runs, slowest spans, whether every
 span closed cleanly).  Traces from asynchronous runs additionally get a
@@ -55,6 +56,13 @@ class SpanSummary:
         if self.start_ts is None or self.end_ts is None:
             return None
         return max(0.0, self.end_ts - self.start_ts)
+
+    @property
+    def backend(self) -> str:
+        """The loop that ran the span: ``array``, ``reference`` or "".
+
+        Empty for traces that predate the ``run_end`` field."""
+        return str(self.outcome.get("backend", ""))
 
     @property
     def rounds_per_sec(self) -> float:
@@ -374,7 +382,7 @@ def render(
         lines.append(f"slowest spans (top {min(slowest, len(job_spans))}):")
         header = (
             f"  {'span':<14} {'label':<24} {'secs':>8} {'rounds':>8} "
-            f"{'viol':>4}  margins"
+            f"{'loop':<9} {'viol':>4}  margins"
         )
         lines.append(header)
         sources = budget_sources()
@@ -382,7 +390,16 @@ def render(
             lines.append(
                 f"  {span.span_id:<14} {(span.label or '-')[:24]:<24} "
                 f"{span.duration or 0.0:>8.3f} {span.rounds:>8} "
+                f"{span.backend or '-':<9} "
                 f"{span.violations:>4}  {_fmt_margin(span.margins, sources)}"
+            )
+        fast = sum(1 for s in job_spans if s.backend == "array")
+        if fast:
+            lines.append(
+                f"  {fast} span(s) ran on the array fast path: their "
+                "observers saw one whole-run summary, so they carry only "
+                "the final round/budget events, and a violation there is "
+                "stamped with the terminal round"
             )
     clock_lines = render_clocks(summary, limit=slowest)
     if clock_lines:

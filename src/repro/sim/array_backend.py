@@ -563,6 +563,11 @@ def _run(engine):
         "rounds": billed + (reason == STOP_QUIESCENT),
         "billed": billed,
         "reveals": reveals,
+        # Per-round observers' totals: mover moves, idle robot-rounds of
+        # billed rounds, and re-anchor calls.
+        "moves": total_moves,
+        "idle": sum(idle_pr),
+        "reanchors": len(reanchor_log),
         "backend": "array",
         "phases": {"select": 0.0, "apply": elapsed, "observe": 0.0},
     }

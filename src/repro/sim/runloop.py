@@ -262,7 +262,10 @@ class RoundObserver:
     #: records.  The array fast path only skips materialising per-round
     #: records when *every* attached observer is batch-capable; with any
     #: per-round observer attached the run takes the scheduler loop, so
-    #: such observers always see every round.
+    #: such observers always see every round.  The telemetry observers
+    #: (:class:`~repro.obs.metrics.MetricsObserver`,
+    #: :class:`~repro.obs.budget.BudgetObserver`) and
+    #: :class:`~repro.perf.timing.TimingObserver` are batch-capable.
     supports_batch = False
 
     def on_attach(self, state: RoundState) -> None:
@@ -273,9 +276,14 @@ class RoundObserver:
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
         """Whole-run summary from the array fast path (only when
-        ``supports_batch``): a dict with at least ``rounds``, ``billed``
-        and ``reveals``, counted as :meth:`on_round` would have counted
-        them.  ``on_stop`` still follows."""
+        ``supports_batch``).  ``on_stop`` still follows.
+
+        The dict holds ``rounds``, ``billed``, ``reveals``, ``moves``
+        (mover moves), ``idle`` (idle robot-rounds of billed rounds) and
+        ``reanchors`` (re-anchor calls), each counted as :meth:`on_round`
+        would have counted it, plus ``backend`` (``"array"``) and
+        ``phases`` (select/apply/observe seconds; the fused loop bills
+        all of its time to ``apply``)."""
 
     def on_phase_times(
         self, select_s: float, apply_s: float, observe_s: float

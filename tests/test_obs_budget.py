@@ -13,6 +13,8 @@ from repro.obs import (
 from repro.registry import make_algorithm, make_tree
 from repro.scenario import ScenarioSpec
 from repro.sim import Simulator
+from repro.sim.array_backend import ArrayMetrics
+from repro.sim.runloop import RoundObserver
 
 
 def _tree_spec(algorithm="bfdn", adversary=None, **kw):
@@ -81,6 +83,38 @@ class TestBudgetObserver:
         budget_events = [ev for ev in events if ev.event == "budget"]
         assert budget_events
         assert budget_events[-1].data["margins"]["broken"] < 0
+
+    def test_fast_path_fires_at_the_terminal_round(self, tmp_path):
+        # Plain BFDN with only batch-capable observers takes the array
+        # fast path: the budget is measured once, after the terminal
+        # (unbilled, all-stay) round.
+        path = str(tmp_path / "t.jsonl")
+        broken = Budget(name="broken", limit=2.0, value=_billed)
+        with TelemetryWriter(path, "feed0000feed0000") as writer:
+            obs = BudgetObserver([broken], writer=writer, every=5)
+            result = _run(obs)
+        assert type(result.metrics) is ArrayMetrics
+        assert obs.snapshot()["violations"] == 1
+        fired = [ev for ev in read_events(path) if ev.event == "violation"]
+        assert len(fired) == 1
+        assert fired[0].data["t"] == result.wall_rounds
+        assert fired[0].data["value"] == result.rounds
+
+    def test_per_round_observer_fires_at_the_crossing_round(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        broken = Budget(name="broken", limit=2.0, value=_billed)
+        with TelemetryWriter(path, "feed0000feed0000") as writer:
+            obs = BudgetObserver([broken], writer=writer, every=5)
+            tree = make_tree("comb", 40, seed=1)
+            Simulator(
+                tree, make_algorithm("bfdn"), 3,
+                observers=[obs, RoundObserver()],
+            ).run()
+        fired = [ev for ev in read_events(path) if ev.event == "violation"]
+        assert len(fired) == 1
+        # Billed rounds first exceed 2 after the third round (t == 2).
+        assert (fired[0].data["t"], fired[0].data["value"]) == (2, 3.0)
+        assert obs.snapshot()["violations"] == 1
 
     def test_each_budget_fires_at_most_once(self):
         obs = BudgetObserver(

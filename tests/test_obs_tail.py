@@ -117,6 +117,25 @@ class TestRender:
         text = "\n".join(render(summarize(_demo_events())))
         assert "INCOMPLETE" not in text
 
+    def test_span_names_its_loop_and_fast_path_is_explained(self):
+        events = _demo_events()
+        events[4] = _ev("run_end", SPAN_A, 2.0,
+                        data={"status": "ok", "backend": "array"})
+        events[7] = _ev("run_end", SPAN_B, 4.0,
+                        data={"status": "ok", "backend": "reference"})
+        summary = summarize(events)
+        assert summary.spans[(TRACE, SPAN_A)].backend == "array"
+        lines = render(summary)
+        row_a = next(li for li in lines if li.startswith("  " + SPAN_A))
+        row_b = next(li for li in lines if li.startswith("  " + SPAN_B))
+        assert " array " in row_a and " reference " in row_b
+        text = "\n".join(lines)
+        assert "1 span(s) ran on the array fast path" in text
+        assert "terminal round" in text
+        # Traces without the field render a dash and no fast-path note.
+        old = "\n".join(render(summarize(_demo_events())))
+        assert "fast path" not in old
+
 
 def _resource_ev(span, ts, cpu=0.5, energy=None):
     return _ev("resource", span, ts, data={
