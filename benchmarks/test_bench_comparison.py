@@ -10,21 +10,18 @@ k/log k-ish factor above the lower bound.
 """
 
 
-from repro.analysis import render_table, run_sweep
-from repro.baselines import CTE
-from repro.core import BFDN, WriteReadBFDN
+from repro.analysis import render_table, run_sweep_cached
+from repro.core import BFDN
 from repro.sim import Simulator
 from repro.trees import generators as gen
 
 
 def run_table():
+    # cte runs with shared reveal, its registry default.
     workloads = gen.standard_families(k=8, size="medium")
-    return run_sweep(
-        {"BFDN": BFDN, "BFDN-WR": WriteReadBFDN, "CTE": CTE},
-        workloads,
-        team_sizes=(4, 16),
-        allow_shared_reveal={"CTE": True},
-    )
+    run = run_sweep_cached(["bfdn", "bfdn-wr", "cte"], workloads, team_sizes=(4, 16))
+    assert not run.failures, run.failures[0].error
+    return run.records
 
 
 def test_bench_comparison(benchmark):

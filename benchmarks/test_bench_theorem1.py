@@ -8,7 +8,7 @@ with n at fixed D.
 """
 
 
-from repro.analysis import render_table, run_sweep
+from repro.analysis import render_table, run_sweep_cached
 from repro.bounds import bfdn_bound
 from repro.core import BFDN
 from repro.sim import Simulator
@@ -18,11 +18,13 @@ TEAM_SIZES = (2, 4, 8, 16)
 
 
 def sweep():
-    return run_sweep(
-        {"BFDN": BFDN},
+    run = run_sweep_cached(
+        ["bfdn"],
         gen.standard_families(k=8, size="medium"),
         TEAM_SIZES,
     )
+    assert not run.failures, run.failures[0].error
+    return run.records
 
 
 def test_bench_theorem1_sweep(benchmark):

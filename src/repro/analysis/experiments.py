@@ -8,7 +8,7 @@ quick interactive reproduction.
 
 Every simulation-backed experiment enumerates
 :class:`~repro.scenario.ScenarioSpec` values and routes them through
-:func:`~repro.analysis.sweep.run_scenarios_cached`, so the full suite is
+:func:`~repro.orchestrator.run_jobspecs`, so the full suite is
 resumable: run with an :class:`ExperimentContext` carrying a
 :class:`~repro.orchestrator.store.ResultStore` and a re-run serves every
 row from the content-addressed cache.  E1 (the Figure 1 region chart)
@@ -36,13 +36,13 @@ from ..bounds import (
     render_ascii,
 )
 from ..game import game_value, run_allocation
-from ..orchestrator import TreeSpec
+from ..orchestrator import TreeSpec, run_jobspecs
 from ..orchestrator.events import ProgressTracker
 from ..orchestrator.store import ResultStore
 from ..scenario import ScenarioSpec
 from ..trees import generators as gen
 from .report import render_table
-from .sweep import record_from_row, run_scenarios_cached, run_sweep_cached
+from .sweep import record_from_row, run_sweep_cached
 
 
 def _default_scale() -> str:
@@ -81,7 +81,7 @@ class ExperimentContext:
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[Dict[str, object]]:
         """Run specs through the cached orchestrator path, in order."""
-        run = run_scenarios_cached(
+        outcomes = run_jobspecs(
             specs,
             store=self.store,
             tracker=self.tracker,
@@ -89,13 +89,14 @@ class ExperimentContext:
             timeout=self.timeout,
             telemetry=self.telemetry,
         )
-        if run.failures:
-            first = run.failures[0]
+        failures = [outcome for outcome in outcomes if not outcome.ok]
+        if failures:
+            first = failures[0]
             raise RuntimeError(
-                f"{len(run.failures)} scenario(s) failed, e.g. "
+                f"{len(failures)} scenario(s) failed, e.g. "
                 f"{first.spec.label or first.spec.fingerprint()}: {first.error}"
             )
-        return run.rows
+        return [outcome.row for outcome in outcomes]
 
 
 def _tree_spec(

@@ -9,7 +9,7 @@ variant backs ``repro report``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def _is_numeric(value: object) -> bool:
@@ -101,21 +101,3 @@ def _fmt(value: object) -> str:
         return f"{value:.2f}"
     return str(value)
 
-
-def summarize_by(
-    rows: Iterable[Dict[str, object]], group_key: str, value_key: str
-) -> Dict[str, Dict[str, float]]:
-    """Group rows and report min/mean/max of a numeric column."""
-    groups: Dict[str, List[float]] = {}
-    for row in rows:
-        value = float(row[value_key])  # type: ignore[arg-type]
-        groups.setdefault(str(row[group_key]), []).append(value)
-    out: Dict[str, Dict[str, float]] = {}
-    for key, values in groups.items():
-        out[key] = {
-            "min": min(values),
-            "mean": sum(values) / len(values),
-            "max": max(values),
-            "count": float(len(values)),
-        }
-    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence
 
 
 @dataclass
@@ -54,19 +54,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         r_squared=r_squared,
     )
 
-
-def measure_exponent(
-    xs: Sequence[float],
-    run: Callable[[float], float],
-) -> Tuple[PowerLawFit, List[float]]:
-    """Evaluate ``run`` on each ``x`` and fit the resulting series."""
-    ys = [float(run(x)) for x in xs]
-    return fit_power_law(xs, ys), ys
-
-
-def doubling_ratios(ys: Sequence[float]) -> List[float]:
-    """Successive ratios ``y[i+1] / y[i]`` — a constant ratio of ``2^a``
-    on doubled inputs indicates exponent ``a``."""
-    if any(y <= 0 for y in ys):
-        raise ValueError("ratios need positive data")
-    return [ys[i + 1] / ys[i] for i in range(len(ys) - 1)]

@@ -1,40 +1,31 @@
 """Parameter-sweep harness used by the benchmarks and EXPERIMENTS.md.
 
-A sweep runs a set of algorithms over a set of (tree, k) workloads and
-collects one :class:`SweepRecord` per run, carrying the measured rounds
-together with the theoretical quantities (Theorem 1 bound, offline lower
-bound, competitive overhead/ratio) the paper's claims are about.
+A sweep runs a set of named algorithms over a set of (tree, k) workloads
+and collects one :class:`SweepRecord` per run, carrying the measured
+rounds together with the theoretical quantities (Theorem 1 bound,
+offline lower bound, competitive overhead/ratio) the paper's claims are
+about.
 
-Two entry points:
-
-* :func:`run_sweep` — the historical inline loop over arbitrary
-  algorithm factories (used by the experiment registry);
-* :func:`run_sweep_cached` — the orchestrated path: algorithms by
-  *name*, jobs fanned over the resilient worker pool with a
-  content-addressed result cache, so identical re-runs are pure cache
-  hits and one crashing job never aborts the sweep.
+:func:`run_sweep_cached` enumerates the grid as scenario specs and fans
+them over the resilient worker pool with a content-addressed result
+cache, so identical re-runs are pure cache hits and one crashing job
+never aborts the sweep.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-logger = logging.getLogger(__name__)
-
-from ..baselines.offline import offline_lower_bound, offline_split_runtime
-from ..bounds.guarantees import bfdn_bound, competitive_overhead, competitive_ratio
+from ..bounds.guarantees import competitive_overhead, competitive_ratio
 from ..orchestrator import JobOutcome, TreeSpec, run_jobspecs
 from ..orchestrator.events import ProgressTracker
 from ..orchestrator.store import ResultStore
-from ..perf import TimingObserver
-from ..scenario import ScenarioSpec, scenario_grid
-from ..sim.engine import ExplorationAlgorithm, Simulator
+from ..scenario import scenario_grid
 from ..trees.tree import Tree
 
-#: A factory returning a fresh algorithm instance for every run.
-AlgorithmFactory = Callable[[], ExplorationAlgorithm]
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -85,51 +76,6 @@ class SweepRecord:
         }
 
 
-def run_sweep(
-    algorithms: Dict[str, AlgorithmFactory],
-    workloads: Iterable[Tuple[str, Tree]],
-    team_sizes: Sequence[int],
-    allow_shared_reveal: Optional[Dict[str, bool]] = None,
-    max_rounds: Optional[int] = None,
-) -> List[SweepRecord]:
-    """Run every algorithm on every (tree, k) pair."""
-    shared = allow_shared_reveal or {}
-    records: List[SweepRecord] = []
-    timing = TimingObserver()
-    for label, tree in workloads:
-        for k in team_sizes:
-            lower = offline_lower_bound(tree.n, tree.depth, k)
-            offline = offline_split_runtime(tree, k)
-            for name, factory in algorithms.items():
-                sim = Simulator(
-                    tree,
-                    factory(),
-                    k,
-                    allow_shared_reveal=shared.get(name, False),
-                    max_rounds=max_rounds,
-                    observers=[timing],
-                )
-                result = sim.run()
-                records.append(
-                    SweepRecord(
-                        algorithm=name,
-                        tree_label=label,
-                        n=tree.n,
-                        depth=tree.depth,
-                        max_degree=tree.max_degree,
-                        k=k,
-                        rounds=result.rounds,
-                        complete=result.complete,
-                        all_home=result.all_home,
-                        bfdn_bound=bfdn_bound(tree.n, tree.depth, k, tree.max_degree),
-                        lower_bound=lower,
-                        offline_split=offline,
-                        rounds_per_sec=round(timing.rounds_per_sec(), 1),
-                    )
-                )
-    return records
-
-
 @dataclass
 class SweepRun:
     """Outcome of an orchestrated sweep: records plus per-job outcomes.
@@ -172,62 +118,6 @@ def record_from_row(row: Dict[str, object]) -> SweepRecord:
         offline_split=int(row.get("offline_split", 0)),
         rounds_per_sec=float(row.get("rounds_per_sec", 0.0)),
     )
-
-
-@dataclass
-class ScenarioRun:
-    """Outcome of an orchestrated scenario batch: raw rows per job.
-
-    Unlike :class:`SweepRun` this keeps the full result rows (scenario
-    extras like ``average_allowed``, ``interference`` or
-    ``max_interior_reanchors`` included) instead of projecting onto
-    :class:`SweepRecord`.
-    """
-
-    rows: List[Dict[str, object]]
-    outcomes: List[JobOutcome]
-    tracker: ProgressTracker
-
-    @property
-    def failures(self) -> List[JobOutcome]:
-        """Jobs that produced no result even after retries."""
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-
-def run_scenarios_cached(
-    specs: Sequence[ScenarioSpec],
-    *,
-    store: Optional[ResultStore] = None,
-    max_workers: Optional[int] = 0,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    tracker: Optional[ProgressTracker] = None,
-    telemetry=None,
-) -> ScenarioRun:
-    """Run an explicit list of scenario specs through the cached pool.
-
-    This is the path every E1–E15 experiment routes through: the
-    experiment enumerates :class:`~repro.scenario.ScenarioSpec` values,
-    the orchestrator dedupes them by fingerprint, serves cache hits from
-    the store and fans the misses over the worker pool.  ``rows`` come
-    back in spec order (failed jobs omitted).  ``telemetry`` (a
-    :class:`repro.obs.TelemetryConfig`) streams the batch into a JSONL
-    trace; see :func:`repro.orchestrator.run_jobspecs`.
-    """
-    tracker = tracker if tracker is not None else ProgressTracker()
-    logger.info("running %d scenario spec(s) (cache %s)",
-                len(specs), "on" if store is not None else "off")
-    outcomes = run_jobspecs(
-        specs,
-        store=store,
-        max_workers=max_workers,
-        timeout=timeout,
-        retries=retries,
-        tracker=tracker,
-        telemetry=telemetry,
-    )
-    rows = [outcome.row for outcome in outcomes if outcome.ok]
-    return ScenarioRun(rows=rows, outcomes=outcomes, tracker=tracker)
 
 
 def run_sweep_cached(

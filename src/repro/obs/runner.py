@@ -1,6 +1,6 @@
 """Telemetry-instrumented job execution for the orchestrator pool.
 
-:class:`TelemetryJob` wraps one job/scenario spec with the picklable
+:class:`TelemetryJob` wraps one scenario spec with the picklable
 :class:`~repro.obs.writer.TelemetryConfig` and a pre-assigned span id;
 :func:`run_telemetry_job` is the top-level worker the executor ships to
 worker processes.  Each worker opens its *own* writer on the shared
@@ -31,10 +31,9 @@ logger = logging.getLogger(__name__)
 class TelemetryJob:
     """One spec plus everything needed to join the sweep's event log.
 
-    ``spec`` is a :class:`~repro.orchestrator.jobspec.JobSpec` or a
-    :class:`~repro.scenario.ScenarioSpec`; both are picklable, as are
-    the config and span id, so the whole job crosses the worker-pool
-    boundary intact.
+    ``spec`` is a :class:`~repro.scenario.ScenarioSpec`; it is
+    picklable, as are the config and span id, so the whole job crosses
+    the worker-pool boundary intact.
     """
 
     spec: Any
@@ -57,11 +56,7 @@ def run_telemetry_job(
     :class:`~repro.scenario.BuiltScenario` to reuse.  Pool workers use
     the defaults — only ``job`` crosses the process boundary.
     """
-    from ..orchestrator.jobspec import JobSpec  # local: import-cycle guard
-
     spec = job.spec
-    if isinstance(spec, JobSpec):
-        spec = spec.to_scenario()
     fingerprint = spec.fingerprint()
     label = spec.label or spec.algorithm
     if built is None:

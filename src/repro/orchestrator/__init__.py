@@ -3,8 +3,9 @@
 The orchestrator turns the repo's embarrassingly-parallel sweep workloads
 (``(family × n × k × seed)`` grids) into fault-tolerant, resumable runs:
 
-* :mod:`~repro.orchestrator.jobspec` — canonical, deterministic job
-  fingerprints (algorithm, tree spec, k, seed, engine options → sha256);
+* :mod:`~repro.orchestrator.jobspec` — tree substrates, the cache schema
+  tag and the pool's worker function (jobs themselves are
+  :class:`repro.scenario.ScenarioSpec` values, fingerprinted to sha256);
 * :mod:`~repro.orchestrator.store` — an on-disk content-addressed result
   cache (JSON-lines + manifest) so identical jobs are never re-simulated
   and interrupted sweeps resume where they stopped;
@@ -23,7 +24,7 @@ all route through this package.
 
 from .events import ProgressTracker, SweepEvent
 from .executor import JobOutcome, TaskOutcome, run_jobspecs, run_tasks
-from .jobspec import SCHEMA_VERSION, JobSpec, TreeSpec, run_jobspec
+from .jobspec import SCHEMA_VERSION, TreeSpec, run_jobspec
 from .signals import (
     INTERRUPT_EXIT_CODE,
     ShutdownFlag,
@@ -34,7 +35,6 @@ from .store import ResultStore
 __all__ = [
     "INTERRUPT_EXIT_CODE",
     "SCHEMA_VERSION",
-    "JobSpec",
     "TreeSpec",
     "run_jobspec",
     "ResultStore",

@@ -32,12 +32,17 @@ from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
 from .events import ProgressTracker, SweepEvent
-from .jobspec import JobSpec, run_jobspec
+from .jobspec import run_jobspec
 from .signals import DEFAULT_FLAG, ShutdownFlag
 from .store import ResultStore
+
+if TYPE_CHECKING:
+    from ..scenario import ScenarioSpec
 
 logger = logging.getLogger(__name__)
 
@@ -572,9 +577,9 @@ def _run_pooled(
 
 @dataclass
 class JobOutcome:
-    """Terminal state of one :class:`JobSpec` in an orchestrated sweep."""
+    """Terminal state of one scenario spec in an orchestrated sweep."""
 
-    spec: JobSpec
+    spec: ScenarioSpec
     fingerprint: str
     status: str  # "done" | "cache-hit" | "failed"
     attempts: int
@@ -589,7 +594,7 @@ class JobOutcome:
 
 
 def run_jobspecs(
-    specs: Sequence[JobSpec],
+    specs: Sequence[ScenarioSpec],
     *,
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
@@ -671,7 +676,7 @@ def run_jobspecs(
 
 
 def _run_jobspecs(
-    specs: Sequence[JobSpec],
+    specs: Sequence[ScenarioSpec],
     *,
     store: Optional[ResultStore],
     use_cache: bool,

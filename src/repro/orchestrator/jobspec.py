@@ -1,22 +1,20 @@
-"""Canonical job specifications and deterministic fingerprints.
+"""Tree substrates, the cache schema tag and the pool's worker function.
 
-A :class:`JobSpec` pins everything that determines a simulation's outcome
-— the algorithm name, the tree (either a named generator family with its
-``(n, seed)`` or an explicit parent array), the team size ``k``, the run
-seed and the engine options — and hashes a canonical JSON encoding of it
-to a stable sha256 fingerprint.  The fingerprint is the key of the
-content-addressed result store: two sweeps that describe the same job in
-different orders, or with defaulted vs. explicit option values, map to
-the same cache entry.
+Jobs are described by :class:`repro.scenario.ScenarioSpec`, which pins
+everything that determines a run's outcome and hashes a canonical JSON
+encoding of it to the sha256 fingerprint keying the content-addressed
+result store.  This module holds the pieces underneath it:
 
-Presentation-only fields (the display ``label``) are deliberately *not*
-fingerprinted, so relabelling a workload does not invalidate its cache.
+* :class:`TreeSpec` — a reproducible substrate (a named registry family
+  with ``(n, seed)``, or an explicit parent array);
+* :data:`SCHEMA_VERSION` — the tag every canonical encoding and cached
+  row carries;
+* :func:`run_jobspec` — the worker function the executor ships to pool
+  processes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -29,8 +27,8 @@ from ..trees.tree import Tree
 #: ``rounds_per_sec`` and ``elapsed`` measures engine time only.
 #: v3: jobs are described by :class:`repro.scenario.ScenarioSpec`; the
 #: canonical encoding gains ``kind``, ``policy``, ``adversary``,
-#: ``adversary_params`` and ``params`` keys, and a plain ``JobSpec``
-#: fingerprints identically to its equivalent scenario.  Migration: v2
+#: ``adversary_params`` and ``params`` keys (a plain algorithm-on-tree
+#: job is the adversary-free, policy-free tree scenario).  Migration: v2
 #: cache rows are *not* rewritten — the store filters rows by schema
 #: tag, so v2 entries are simply ignored and jobs re-run once under v3.
 #: v4: every run is bracketed by the resource sampler, so rows gain the
@@ -102,88 +100,16 @@ class TreeSpec:
         return {"family": self.family, "n": self.n, "seed": self.seed}
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One simulation to run, fully pinned and fingerprintable."""
-
-    algorithm: str
-    tree: TreeSpec
-    k: int
-    seed: int = 0
-    #: Display label carried into result rows; NOT fingerprinted.
-    label: str = ""
-    max_rounds: Optional[int] = None
-    #: ``None`` resolves to the registry default for the algorithm.
-    allow_shared_reveal: Optional[bool] = None
-    #: Also compute the Theorem 1 bound and the offline lower bounds in
-    #: the worker, so a cache hit skips *all* recomputation.
-    compute_bounds: bool = False
-
-    def __post_init__(self) -> None:
-        # workload_kind raises for names that are neither tree algorithms
-        # nor registered entry points (graph-bfdn, urn-game).
-        registry.workload_kind(self.algorithm)
-        if self.k < 1:
-            raise ValueError("team size k must be >= 1")
-
-    def shared_reveal(self) -> bool:
-        """The resolved shared-reveal flag (explicit or registry default)."""
-        if self.allow_shared_reveal is not None:
-            return self.allow_shared_reveal
-        return registry.shared_reveal_default(self.algorithm)
-
-    def to_scenario(self):
-        """The equivalent :class:`repro.scenario.ScenarioSpec`.
-
-        A ``JobSpec`` is the adversary-free, policy-free special case of
-        a scenario; converting here (rather than keeping two run paths)
-        means both spell the same canonical encoding and share one cache
-        namespace.
-        """
-        from ..scenario import ScenarioSpec  # local: avoid import cycle
-
-        return ScenarioSpec(
-            kind=registry.workload_kind(self.algorithm),
-            algorithm=self.algorithm,
-            substrate=self.tree,
-            k=self.k,
-            seed=self.seed,
-            label=self.label,
-            max_rounds=self.max_rounds,
-            allow_shared_reveal=self.allow_shared_reveal,
-            compute_bounds=self.compute_bounds,
-        )
-
-    def canonical(self) -> Dict[str, object]:
-        """Canonical encoding: resolved defaults, no presentation fields.
-
-        Delegates to the equivalent scenario, so a ``JobSpec`` and the
-        ``ScenarioSpec`` it denotes fingerprint identically (and hit the
-        same cache entries).
-        """
-        return self.to_scenario().canonical()
-
-    def fingerprint(self) -> str:
-        """Stable sha256 hex digest of the canonical encoding."""
-        payload = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def run_jobspec(spec) -> Dict[str, object]:
-    """Execute one job or scenario spec and return its flat result row.
+    """Execute one :class:`repro.scenario.ScenarioSpec`; return its row.
 
     This is the pure worker function the executor ships to worker
-    processes; everything it needs travels inside ``spec``.  Accepts a
-    :class:`JobSpec` (converted to its equivalent scenario) or a
-    :class:`repro.scenario.ScenarioSpec` directly; either way the run
-    goes through the one ``build()``/``run()`` path into the round
-    engine.
+    processes; everything it needs travels inside ``spec``.  The
+    executor looks it up as a module global at dispatch time, so a
+    wrapper patched over ``repro.orchestrator.executor.run_jobspec``
+    sees every job of a batch.
     """
-    if isinstance(spec, JobSpec):
-        spec = spec.to_scenario()
     return spec.build().run()
 
 
-__all__ = ["SCHEMA_VERSION", "JobSpec", "TreeSpec", "run_jobspec"]
+__all__ = ["SCHEMA_VERSION", "TreeSpec", "run_jobspec"]

@@ -33,6 +33,7 @@ same spec are cached under its :meth:`~ScenarioSpec.fingerprint`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from collections.abc import Mapping
@@ -257,8 +258,6 @@ class ScenarioSpec:
         """
         digest = self.__dict__.get("_fingerprint")
         if digest is None:
-            import hashlib
-
             payload = json.dumps(
                 self.canonical(), sort_keys=True, separators=(",", ":")
             )

@@ -52,16 +52,6 @@ def render_state(
     return "\n".join(lines)
 
 
-def render_summary(expl: Exploration) -> str:
-    """One status line for progress displays."""
-    ptree = expl.ptree
-    return (
-        f"round {expl.round}: {ptree.num_explored} nodes explored, "
-        f"{ptree.num_dangling} dangling, "
-        f"robots at {sorted(set(expl.positions))}"
-    )
-
-
 def animate(trace: Trace, tree: Tree, limit: Optional[int] = None) -> Iterator[str]:
     """Replay a trace, yielding one rendered frame per round."""
     expl = Exploration(tree, trace.k)

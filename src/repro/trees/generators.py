@@ -21,7 +21,6 @@ __all__ = [
     "spider",
     "broom",
     "comb",
-    "binary_counter_tree",
     "binomial_tree",
     "galton_watson",
     "dumbbell",
@@ -137,22 +136,6 @@ def comb(spine: int, tooth_length: int) -> Tree:
         for _ in range(tooth_length):
             parents.append(prev)
             prev = len(parents) - 1
-    return Tree(parents)
-
-
-def binary_counter_tree(depth: int) -> Tree:
-    """A full binary tree with a path grafted on: a mixed-regime instance."""
-    if depth < 1:
-        raise ValueError("depth >= 1 required")
-    half = max(1, depth // 2)
-    t = complete_ary(2, half)
-    parents = [-1] + [t.parent(v) for v in range(1, t.n)]
-    # Graft a path of length depth - half on the first leaf found.
-    leaf = next(v for v in range(t.n) if not t.children(v))
-    prev = leaf
-    for _ in range(depth - half):
-        parents.append(prev)
-        prev = len(parents) - 1
     return Tree(parents)
 
 

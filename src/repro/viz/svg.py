@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..bounds.regions import ALGORITHMS, RegionMap
 from ..trees.partial import PartialTree
-from ..trees.tree import Tree
 
 #: Fill colors per algorithm for the region chart.
 REGION_COLORS: Dict[str, str] = {
@@ -133,19 +132,6 @@ def tree_svg(
             )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def exploration_svg(tree: Tree, positions: Sequence[int], **kwargs) -> str:
-    """Convenience: render a *fully explored* tree with robot positions."""
-    ptree = PartialTree(tree.root, tree.degree(tree.root))
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        for port in sorted(ptree.dangling_ports(u)):
-            child = tree.port_to(u, port)
-            ptree.reveal(u, port, child, tree.degree(child))
-            stack.append(child)
-    return tree_svg(ptree, positions, **kwargs)
 
 
 def region_map_svg(region_map: RegionMap, cell: int = 9) -> str:

@@ -2,26 +2,22 @@
 
 import pytest
 
-from repro.analysis import (
-    render_markdown_table,
-    render_table,
-    run_sweep,
-    summarize_by,
-)
-from repro.baselines import CTE
-from repro.core import BFDN
+from repro.analysis import render_markdown_table, render_table, run_sweep_cached
 from repro.trees import generators as gen
+
+
+def sweep_records(algorithms, workloads, team_sizes):
+    """Records of an inline, uncached sweep that must not lose a job."""
+    run = run_sweep_cached(algorithms, workloads, team_sizes)
+    assert not run.failures
+    return run.records
 
 
 class TestSweep:
     def test_records_complete(self):
+        # cte's shared reveal is its registry default.
         workloads = [("star", gen.star(20)), ("path", gen.path(20))]
-        records = run_sweep(
-            {"BFDN": BFDN, "CTE": CTE},
-            workloads,
-            team_sizes=(1, 2),
-            allow_shared_reveal={"CTE": True},
-        )
+        records = sweep_records(["bfdn", "cte"], workloads, team_sizes=(1, 2))
         assert len(records) == 2 * 2 * 2
         for rec in records:
             assert rec.complete and rec.all_home
@@ -29,13 +25,13 @@ class TestSweep:
             assert rec.ratio > 0
 
     def test_overhead_definition(self):
-        records = run_sweep({"BFDN": BFDN}, [("star", gen.star(30))], (2,))
+        records = sweep_records(["bfdn"], [("star", gen.star(30))], (2,))
         rec = records[0]
         assert rec.overhead == pytest.approx(rec.rounds - 2 * rec.n / rec.k)
 
     def test_bfdn_within_bound_in_records(self):
-        records = run_sweep(
-            {"BFDN": BFDN},
+        records = sweep_records(
+            ["bfdn"],
             gen.standard_families(4, "small")[:6],
             team_sizes=(2, 4),
         )
@@ -43,7 +39,7 @@ class TestSweep:
             assert rec.rounds <= rec.bfdn_bound
 
     def test_as_row_keys(self):
-        records = run_sweep({"BFDN": BFDN}, [("s", gen.star(10))], (2,))
+        records = sweep_records(["bfdn"], [("s", gen.star(10))], (2,))
         row = records[0].as_row()
         for key in ("algorithm", "tree", "n", "D", "k", "rounds", "overhead"):
             assert key in row
@@ -106,14 +102,3 @@ class TestReport:
         rows = [{"a": 1, "b": 2}]
         out = render_table(rows, columns=["b"])
         assert "a" not in out.splitlines()[0]
-
-    def test_summarize_by(self):
-        rows = [
-            {"g": "x", "v": 1.0},
-            {"g": "x", "v": 3.0},
-            {"g": "y", "v": 10.0},
-        ]
-        summary = summarize_by(rows, "g", "v")
-        assert summary["x"]["mean"] == 2.0
-        assert summary["x"]["count"] == 2
-        assert summary["y"]["max"] == 10.0

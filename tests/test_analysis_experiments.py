@@ -36,3 +36,29 @@ class TestRegistry:
             fields = line.split()
             if len(fields) >= 3 and fields[0].isdigit():
                 assert fields[1] == fields[2], line  # simulated == DP
+
+
+class TestArchiveDriver:
+    def test_tiny_archive_writes_html_report(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, REPRO_EXPERIMENT_SCALE="tiny")
+        env.pop("REPRO_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "run_experiments.py"),
+             str(tmp_path), "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        page = (tmp_path / "report.html").read_text()
+        assert page.count("<div class='experiment'>") == len(EXPERIMENTS) == 15
+        for exp_id in EXPERIMENTS:
+            assert f"<h2>{exp_id}" in page, exp_id
+        chart = (tmp_path / "figure1_k40.svg").read_text()
+        assert chart in page
+        assert "k=1099511627776" in chart
+        assert "FAILED" not in page

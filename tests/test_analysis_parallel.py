@@ -3,16 +3,21 @@
 import pytest
 
 from repro.core import BFDN
-from repro.orchestrator import JobSpec, TreeSpec, run_jobspecs
+from repro.orchestrator import TreeSpec, run_jobspecs
 from repro.registry import ALGORITHMS
+from repro.scenario import ScenarioSpec
 from repro.sim import Simulator
 from repro.trees import generators as gen
 
 
 def job(algorithm, label, tree, k):
-    """A job spec carrying ``tree`` as a parent array."""
-    return JobSpec(
-        algorithm=algorithm, tree=TreeSpec.from_tree(tree), k=k, label=label
+    """A tree scenario carrying ``tree`` as a parent array."""
+    return ScenarioSpec(
+        kind="tree",
+        algorithm=algorithm,
+        substrate=TreeSpec.from_tree(tree),
+        k=k,
+        label=label,
     )
 
 

@@ -1,15 +1,6 @@
-"""Tests for ASCII plotting and replication statistics."""
+"""Tests for ASCII plotting and paired measurements."""
 
-import pytest
-
-from repro.analysis import (
-    PairedComparison,
-    Replication,
-    compare_paired,
-    line_plot,
-    replicate,
-    scatter_loglog,
-)
+from repro.analysis import line_plot, scatter_loglog
 
 
 class TestLinePlot:
@@ -51,49 +42,6 @@ class TestScatterLogLog:
         assert "*=a" in out and "+=b" in out
 
 
-class TestReplication:
-    def test_mean_std(self):
-        r = Replication([2.0, 4.0, 6.0])
-        assert r.mean == 4.0
-        assert r.std == pytest.approx(2.0)
-
-    def test_ci_contains_mean(self):
-        r = Replication([1.0, 2.0, 3.0, 4.0])
-        lo, hi = r.confidence_interval()
-        assert lo < r.mean < hi
-
-    def test_single_value(self):
-        r = Replication([5.0])
-        assert r.std == 0.0
-        assert r.confidence_interval() == (5.0, 5.0)
-
-    def test_replicate_runs_each_seed(self):
-        r = replicate(lambda s: s * 2.0, [1, 2, 3])
-        assert r.values == [2.0, 4.0, 6.0]
-
-    def test_replicate_rejects_empty(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: 1.0, [])
-
-
-class TestPaired:
-    def test_wins_and_dominance(self):
-        c = PairedComparison(a=[1, 2, 3], b=[2, 2, 4])
-        assert c.wins == 2
-        assert c.a_dominates()  # ties allowed: never worse, twice better
-        d = PairedComparison(a=[1, 5, 3], b=[2, 3, 3])
-        assert not d.a_dominates()  # loses the middle instance
-
-    def test_mean_difference(self):
-        c = PairedComparison(a=[1.0, 3.0], b=[2.0, 2.0])
-        assert c.mean_difference == 0.0
-
-    def test_compare_paired_uses_same_seeds(self):
-        c = compare_paired(lambda s: s, lambda s: s + 1, [1, 2])
-        assert c.differences == [-1.0, -1.0]
-        assert c.a_dominates()
-
-
 class TestOnRealMeasurements:
     def test_bfdn_vs_dogpile_replicated(self):
         """Statistical version of the ablation: across random stress-ish
@@ -113,7 +61,7 @@ class TestOnRealMeasurements:
 
             return measure
 
-        cmp = compare_paired(
-            rounds_with("least-loaded"), rounds_with("most-loaded"), range(6)
-        )
-        assert cmp.mean_difference <= 0.0 or abs(cmp.mean_difference) < 5
+        balanced, dogpile = rounds_with("least-loaded"), rounds_with("most-loaded")
+        diffs = [balanced(seed) - dogpile(seed) for seed in range(6)]
+        mean_difference = sum(diffs) / len(diffs)
+        assert mean_difference <= 0.0 or abs(mean_difference) < 5

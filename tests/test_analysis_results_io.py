@@ -65,14 +65,13 @@ class TestFiles:
 
 class TestWithSweepRecords:
     def test_sweep_rows_roundtrip(self, tmp_path):
-        from repro.analysis import run_sweep
-        from repro.core import BFDN
+        from repro.analysis import run_sweep_cached
         from repro.trees import generators as gen
 
-        records = run_sweep({"BFDN": BFDN}, [("star", gen.star(20))], (2,))
+        records = run_sweep_cached(["bfdn"], [("star", gen.star(20))], (2,)).records
         rows = [r.as_row() for r in records]
         path = tmp_path / "sweep.csv"
         save_rows(rows, path)
         restored = load_rows(path)
         assert restored[0]["rounds"] == rows[0]["rounds"]
-        assert restored[0]["algorithm"] == "BFDN"
+        assert restored[0]["algorithm"] == "bfdn"

@@ -8,7 +8,7 @@ land near the theory (D^2 for the overhead budget, ~k log k for the game).
 
 import pytest
 
-from repro.analysis import doubling_ratios, fit_power_law, measure_exponent
+from repro.analysis import fit_power_law
 from repro.core import BFDN
 from repro.game import game_value
 from repro.sim import Simulator
@@ -35,16 +35,6 @@ class TestFitting:
             fit_power_law([1, -1], [1, 1])
         with pytest.raises(ValueError):
             fit_power_law([1, 2], [0, 1])
-
-    def test_measure_exponent(self):
-        fit, ys = measure_exponent([1, 2, 4], lambda x: x**3)
-        assert fit.exponent == pytest.approx(3.0, abs=1e-9)
-        assert ys == [1, 8, 64]
-
-    def test_doubling_ratios(self):
-        assert doubling_ratios([1, 2, 4]) == [2.0, 2.0]
-        with pytest.raises(ValueError):
-            doubling_ratios([1, 0])
 
 
 class TestEmpiricalExponents:

@@ -10,7 +10,7 @@ cache.
 import pytest
 
 from repro.cli import main
-from repro.orchestrator import JobSpec, ResultStore, TreeSpec, run_jobspecs
+from repro.orchestrator import ResultStore, TreeSpec, run_jobspecs
 from repro.orchestrator.jobspec import run_jobspec
 from repro.registry import (
     ENTRY_POINTS,
@@ -19,6 +19,18 @@ from repro.registry import (
     make_graph,
     workload_kind,
 )
+from repro.scenario import ScenarioSpec
+
+
+def job(algorithm, substrate, k, **kwargs):
+    """A scenario of the kind the registry assigns to ``algorithm``."""
+    return ScenarioSpec(
+        kind=workload_kind(algorithm),
+        algorithm=algorithm,
+        substrate=substrate,
+        k=k,
+        **kwargs,
+    )
 
 
 class TestRegistry:
@@ -62,19 +74,19 @@ class TestSpecs:
             TreeSpec.named("hexgrid", 30)
 
     def test_jobspec_accepts_entry_points(self):
-        spec = JobSpec("graph-bfdn", TreeSpec.named("maze", 30), k=2)
-        assert spec.fingerprint() != JobSpec(
+        spec = job("graph-bfdn", TreeSpec.named("maze", 30), k=2)
+        assert spec.fingerprint() != job(
             "urn-game", TreeSpec.named(GAME_FAMILY, 30), k=2
         ).fingerprint()
 
     def test_jobspec_still_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            JobSpec("warp-drive", TreeSpec.named("random", 30), k=2)
+            job("warp-drive", TreeSpec.named("random", 30), k=2)
 
 
 class TestWorkers:
     def test_graph_job_row(self):
-        spec = JobSpec(
+        spec = job(
             "graph-bfdn",
             TreeSpec.named("braided", 36, seed=4),
             k=3,
@@ -93,10 +105,10 @@ class TestWorkers:
 
         tree_spec = TreeSpec.from_tree(make_tree("path", 5))
         with pytest.raises(ValueError, match="named graph family"):
-            run_jobspec(JobSpec("graph-bfdn", tree_spec, k=2))
+            run_jobspec(job("graph-bfdn", tree_spec, k=2))
 
     def test_game_job_respects_theorem3(self):
-        spec = JobSpec(
+        spec = job(
             "urn-game",
             TreeSpec.named(GAME_FAMILY, 16),  # n is Delta
             k=16,
@@ -111,8 +123,8 @@ class TestWorkers:
     def test_entry_point_jobs_cache(self, tmp_path):
         store = ResultStore(tmp_path)
         specs = [
-            JobSpec("graph-bfdn", TreeSpec.named("maze", 25), k=2, compute_bounds=True),
-            JobSpec("urn-game", TreeSpec.named(GAME_FAMILY, 8), k=8, compute_bounds=True),
+            job("graph-bfdn", TreeSpec.named("maze", 25), k=2, compute_bounds=True),
+            job("urn-game", TreeSpec.named(GAME_FAMILY, 8), k=8, compute_bounds=True),
         ]
         first = run_jobspecs(specs, store=store)
         second = run_jobspecs(specs, store=store)

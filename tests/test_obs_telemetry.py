@@ -13,13 +13,13 @@ from repro.obs import (
 )
 from repro.obs.writer import telemetry_path
 from repro.orchestrator import (
-    JobSpec,
     ProgressTracker,
     ResultStore,
     SweepEvent,
     TreeSpec,
     run_jobspecs,
 )
+from repro.scenario import ScenarioSpec
 
 
 class TestWriter:
@@ -56,7 +56,7 @@ class TestWriter:
 class TestRunTelemetryJob:
     def test_single_job_brackets_and_annotates_row(self, tmp_path):
         config = TelemetryConfig.create(str(tmp_path), round_every=10)
-        spec = JobSpec("bfdn", TreeSpec.named("comb", 40, seed=1), 3)
+        spec = ScenarioSpec("tree", "bfdn", TreeSpec.named("comb", 40, seed=1), 3)
         job = TelemetryJob(spec=spec, config=config)
         row = run_telemetry_job(job)
         assert row["trace_id"] == config.trace_id
@@ -81,7 +81,7 @@ class TestPoolBoundary:
         config = TelemetryConfig.create(str(tmp_path / "tel"), round_every=25)
         tree = TreeSpec.named("comb", 50, seed=2)
         specs = [
-            JobSpec("bfdn", tree, k, seed=s, label=f"job-{k}-{s}")
+            ScenarioSpec("tree", "bfdn", tree, k, seed=s, label=f"job-{k}-{s}")
             for k in (2, 3)
             for s in (0, 1)
         ]
@@ -116,7 +116,7 @@ class TestPoolBoundary:
 
     def test_cache_hits_still_bracket_the_sweep(self, tmp_path):
         config = TelemetryConfig.create(str(tmp_path / "tel"))
-        spec = JobSpec("bfdn", TreeSpec.named("comb", 30, seed=1), 2)
+        spec = ScenarioSpec("tree", "bfdn", TreeSpec.named("comb", 30, seed=1), 2)
         store = ResultStore(tmp_path / "cache")
         run_jobspecs([spec], store=store, max_workers=1, telemetry=config)
         second = TelemetryConfig.create(str(tmp_path / "tel"))

@@ -8,7 +8,6 @@ import pytest
 
 from repro import registry
 from repro.orchestrator import (
-    JobSpec,
     ProgressTracker,
     ResultStore,
     ShutdownFlag,
@@ -61,7 +60,13 @@ def grid(ks=(2, 3), family="comb", n=60, **overrides):
     base = dict(algorithm="bfdn", compute_bounds=False)
     base.update(overrides)
     return [
-        JobSpec(tree=TreeSpec.named(family, n), k=k, label=f"{family}-k{k}", **base)
+        ScenarioSpec(
+            kind="tree",
+            substrate=TreeSpec.named(family, n),
+            k=k,
+            label=f"{family}-k{k}",
+            **base,
+        )
         for k in ks
     ]
 
@@ -136,8 +141,12 @@ class TestCaching:
         store = ResultStore(tmp_path)
         run_jobspecs(grid(), store=store, max_workers=0)
         relabelled = [
-            JobSpec(
-                algorithm=s.algorithm, tree=s.tree, k=s.k, label=f"new-{s.k}"
+            ScenarioSpec(
+                kind=s.kind,
+                algorithm=s.algorithm,
+                substrate=s.substrate,
+                k=s.k,
+                label=f"new-{s.k}",
             )
             for s in grid()
         ]
@@ -152,6 +161,42 @@ class TestCaching:
         assert tracker.counts["done"] == 1
         assert [o.status for o in out] == ["done", "cache-hit", "cache-hit"]
         assert len({o.row["rounds"] for o in out}) == 1
+
+
+class TestWorkerSeam:
+    """The executor resolves ``run_jobspec`` at dispatch time.
+
+    A wrapper patched over ``repro.orchestrator.executor.run_jobspec``
+    (as an external tracer does) must see every job of a batch, and the
+    worker must keep living at ``repro.orchestrator.jobspec``.
+    """
+
+    def test_patched_worker_runs_every_job(self, monkeypatch):
+        from repro.orchestrator import executor, jobspec
+        from repro.scenario import run_scenario
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return jobspec.run_jobspec(spec)
+
+        monkeypatch.setattr(executor, "run_jobspec", counting)
+        specs = [
+            ScenarioSpec(
+                kind="tree",
+                algorithm=algorithm,
+                substrate=jobspec.TreeSpec.named("comb", 40, seed=1),
+                k=3,
+                label=algorithm,
+            )
+            for algorithm in ("bfdn", "cte")
+        ]
+        outcomes = run_jobspecs(specs, max_workers=0)
+        assert calls == specs
+        assert [_stable(o.row) for o in outcomes] == [
+            _stable(run_scenario(spec)) for spec in specs
+        ]
 
 
 class TestResume:

@@ -2,16 +2,21 @@
 
 import pytest
 
-from repro.orchestrator import JobSpec, TreeSpec, run_jobspec
+from repro.orchestrator import TreeSpec, run_jobspec
+from repro.scenario import ScenarioSpec
 from repro.trees import generators as gen
 
 
 def spec(**overrides):
     base = dict(
-        algorithm="bfdn", tree=TreeSpec.named("random", 80), k=4, label="x"
+        kind="tree",
+        algorithm="bfdn",
+        substrate=TreeSpec.named("random", 80),
+        k=4,
+        label="x",
     )
     base.update(overrides)
-    return JobSpec(**base)
+    return ScenarioSpec(**base)
 
 
 class TestTreeSpec:
@@ -54,8 +59,8 @@ class TestFingerprint:
         assert spec(seed=1).fingerprint() != base
         assert spec(max_rounds=10_000).fingerprint() != base
         assert spec(compute_bounds=True).fingerprint() != base
-        assert spec(tree=TreeSpec.named("random", 81)).fingerprint() != base
-        assert spec(tree=TreeSpec.named("random", 80, seed=1)).fingerprint() != base
+        assert spec(substrate=TreeSpec.named("random", 81)).fingerprint() != base
+        assert spec(substrate=TreeSpec.named("random", 80, seed=1)).fingerprint() != base
 
     def test_explicit_default_equals_implicit(self):
         # bfdn's registry default is shared_reveal=False; saying so
@@ -71,7 +76,7 @@ class TestFingerprint:
         named = TreeSpec.named("path", 5)
         concrete = TreeSpec.from_tree(gen.path(5))
         assert (
-            spec(tree=named).fingerprint() != spec(tree=concrete).fingerprint()
+            spec(substrate=named).fingerprint() != spec(substrate=concrete).fingerprint()
         )
 
     def test_golden_fingerprint_is_pinned(self):
@@ -84,12 +89,6 @@ class TestFingerprint:
         assert spec().fingerprint() == (
             "b32eda2b447d561817264561cfe9bd578a2e0ec734ff499bae76f9c35d7e4d0d"
         )
-
-    def test_jobspec_fingerprints_as_its_scenario(self):
-        # One cache namespace: a plain JobSpec and the ScenarioSpec it
-        # desugars to must hash identically.
-        s = spec()
-        assert s.fingerprint() == s.to_scenario().fingerprint()
 
 
 class TestValidation:
@@ -108,8 +107,12 @@ class TestRunJobspec:
         from repro.sim import Simulator
 
         tree = gen.comb(8, 3)
-        job = JobSpec(
-            algorithm="bfdn", tree=TreeSpec.from_tree(tree), k=3, label="comb"
+        job = ScenarioSpec(
+            kind="tree",
+            algorithm="bfdn",
+            substrate=TreeSpec.from_tree(tree),
+            k=3,
+            label="comb",
         )
         row = run_jobspec(job)
         direct = Simulator(tree, BFDN(), 3).run()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import registry
-from repro.orchestrator import JobSpec, TreeSpec
+from repro.orchestrator import TreeSpec
 from repro.scenario import (
     KINDS,
     ScenarioSpec,
@@ -274,12 +274,6 @@ class TestFingerprint:
         a = tree_spec(params=(("a", 1), ("b", 2)))
         b = tree_spec(params=(("b", 2), ("a", 1)))
         assert a.fingerprint() == b.fingerprint()
-
-    def test_jobspec_shares_namespace(self):
-        job = JobSpec(
-            algorithm="bfdn", tree=TreeSpec.named("random", 60), k=4
-        )
-        assert job.fingerprint() == tree_spec().fingerprint()
 
     def test_digest_computed_once_and_pickled(self, monkeypatch):
         import pickle

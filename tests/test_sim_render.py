@@ -2,7 +2,7 @@
 
 from repro.core import BFDN
 from repro.sim import Exploration, Simulator, TraceObserver
-from repro.sim.render import animate, render_state, render_summary
+from repro.sim.render import animate, render_state
 from repro.trees import generators as gen
 
 
@@ -35,12 +35,6 @@ class TestRenderState:
 
 
 class TestSummaryAndAnimate:
-    def test_summary_line(self):
-        tree = gen.path(5)
-        expl = Exploration(tree, 2)
-        line = render_summary(expl)
-        assert "round 0" in line and "1 nodes explored" in line
-
     def test_animate_frame_count(self):
         tree = gen.complete_ary(2, 3)
         tracer = TraceObserver()

@@ -1,7 +1,9 @@
 """Tests for the orchestrated sweep path (``run_sweep_cached``)."""
 
-from repro.analysis import run_sweep, run_sweep_cached
+from repro.analysis import run_sweep_cached
+from repro.baselines.offline import offline_lower_bound, offline_split_runtime
 from repro.core import BFDN
+from repro.sim import Simulator
 from repro.orchestrator import ResultStore, TreeSpec
 from repro.trees import generators as gen
 
@@ -9,15 +11,17 @@ from repro.trees import generators as gen
 class TestRecords:
     def test_matches_inline_run_sweep(self):
         tree = gen.comb(8, 3)
-        inline = run_sweep({"bfdn": BFDN}, [("comb", tree)], (2, 4))
-        run = run_sweep_cached(["bfdn"], [("comb", tree)], (2, 4))
+        ks = (2, 4)
+        run = run_sweep_cached(["bfdn"], [("comb", tree)], ks)
         assert not run.failures
-        assert [r.rounds for r in run.records] == [r.rounds for r in inline]
+        assert [r.rounds for r in run.records] == [
+            Simulator(tree, BFDN(), k).run().rounds for k in ks
+        ]
         assert [r.lower_bound for r in run.records] == [
-            r.lower_bound for r in inline
+            offline_lower_bound(tree.n, tree.depth, k) for k in ks
         ]
         assert [r.offline_split for r in run.records] == [
-            r.offline_split for r in inline
+            offline_split_runtime(tree, k) for k in ks
         ]
 
     def test_records_expose_overhead_and_ratio(self):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.orchestrator import (
     INTERRUPT_EXIT_CODE,
-    JobSpec,
     ResultStore,
     ShutdownFlag,
     TreeSpec,
@@ -19,6 +18,7 @@ from repro.orchestrator import (
     run_jobspecs,
     run_tasks,
 )
+from repro.scenario import ScenarioSpec
 
 
 def _sleepy(seconds):
@@ -93,8 +93,9 @@ class TestRunTasksStopFlag:
                 return super().is_set()
 
         specs = [
-            JobSpec(algorithm="bfdn", tree=TreeSpec.named("comb", 40, seed=s),
-                    k=2, label=f"s{s}")
+            ScenarioSpec(kind="tree", algorithm="bfdn",
+                         substrate=TreeSpec.named("comb", 40, seed=s),
+                         k=2, label=f"s{s}")
             for s in range(4)
         ]
         store = ResultStore(tmp_path)

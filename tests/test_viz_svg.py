@@ -8,9 +8,23 @@ from repro.bounds import compute_region_map
 from repro.core import BFDN
 from repro.sim import Exploration
 from repro.trees import generators as gen
-from repro.viz import REGION_COLORS, exploration_svg, region_map_svg, tree_svg
+from repro.trees.partial import PartialTree
+from repro.viz import REGION_COLORS, region_map_svg, tree_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def explored_svg(tree, positions, **kwargs):
+    """``tree_svg`` of ``tree`` with every edge revealed."""
+    ptree = PartialTree(tree.root, tree.degree(tree.root))
+    stack = [tree.root]
+    while stack:
+        u = stack.pop()
+        for port in sorted(ptree.dangling_ports(u)):
+            child = tree.port_to(u, port)
+            ptree.reveal(u, port, child, tree.degree(child))
+            stack.append(child)
+    return tree_svg(ptree, positions, **kwargs)
 
 
 def parse(svg: str) -> ET.Element:
@@ -22,18 +36,18 @@ class TestTreeSvg:
         label, tree = tree_case
         if tree.n > 150:
             pytest.skip("layout test kept small")
-        svg = exploration_svg(tree, [tree.root] * 2)
+        svg = explored_svg(tree, [tree.root] * 2)
         parse(svg)
 
     def test_robots_rendered(self):
-        svg = exploration_svg(gen.star(5), [0, 1, 2])
+        svg = explored_svg(gen.star(5), [0, 1, 2])
         root = parse(svg)
         titles = [t.text for t in root.iter(f"{SVG_NS}title")]
         assert {"robot 0", "robot 1", "robot 2"} <= set(titles)
 
     def test_edges_count(self):
         tree = gen.path(6)
-        svg = exploration_svg(tree, [0])
+        svg = explored_svg(tree, [0])
         root = parse(svg)
         lines = [
             e for e in root.iter(f"{SVG_NS}line")
@@ -54,7 +68,7 @@ class TestTreeSvg:
         assert len(stubs) == 4  # the remaining dangling root ports
 
     def test_title_escaped(self):
-        svg = exploration_svg(gen.path(2), [0], title="<&>")
+        svg = explored_svg(gen.path(2), [0], title="<&>")
         assert "&lt;&amp;&gt;" in svg
         parse(svg)
 

@@ -10,7 +10,10 @@ Writes, under ``results/`` (or ``--outdir``):
 
 * one ``E<i>.txt`` per experiment report,
 * ``summary.csv`` with a one-row status per experiment,
-* ``figure1_k20.svg`` and ``figure1_k40.svg``.
+* ``figure1_k20.svg`` and ``figure1_k40.svg``,
+* ``report.html``: every report plus the k = 2^40 chart in one
+  self-contained page, the artifact to send to someone who asks "did it
+  reproduce?".
 
     python tools/run_experiments.py [--outdir results] [--jobs 4]
                                     [--timeout 300] [--retries 1]
@@ -19,8 +22,10 @@ Writes, under ``results/`` (or ``--outdir``):
 from __future__ import annotations
 
 import argparse
+import html
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -29,6 +34,26 @@ from repro.analysis.experiments import ExperimentContext
 from repro.bounds import compute_region_map
 from repro.orchestrator import ProgressTracker, ResultStore, run_tasks
 from repro.viz import region_map_svg
+
+STYLE = """
+body { font-family: Georgia, serif; max-width: 960px; margin: 2em auto;
+       color: #222; line-height: 1.45; padding: 0 1em; }
+h1, h2 { font-family: Helvetica, Arial, sans-serif; }
+pre { background: #f6f6f4; border: 1px solid #ddd; padding: 0.8em;
+      overflow-x: auto; font-size: 12px; line-height: 1.3; }
+.experiment { margin-bottom: 2.2em; }
+.meta { color: #666; font-size: 0.9em; }
+svg { max-width: 100%; height: auto; border: 1px solid #eee; }
+"""
+
+INTRO = """
+<p>Reproduction of <em>"Efficient Collaborative Tree Exploration with
+Breadth-First Depth-Next"</em> (Cosson, Massouli&eacute;, Viennot &mdash;
+PODC 2023, arXiv:2301.13307). Each section below is one experiment of the
+reproduction's index (DESIGN.md); the asserting versions run under
+<code>pytest benchmarks/</code>. See EXPERIMENTS.md for the
+measured-vs-paper discussion and the reproduction findings.</p>
+"""
 
 
 def _run_one(exp_id: str) -> str:
@@ -44,6 +69,31 @@ def _run_one(exp_id: str) -> str:
         store=ResultStore(cache_dir) if cache_dir else None
     )
     return run_experiment(exp_id, ctx)
+
+
+def render_html(reports, figure_svg: str) -> str:
+    """One self-contained page: the Figure 1 chart, then every report.
+
+    A report's first line is its section title.
+    """
+    parts = [
+        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
+        "<title>BFDN reproduction report</title>",
+        f"<style>{STYLE}</style></head><body>",
+        "<h1>BFDN reproduction report</h1>",
+        f"<p class='meta'>generated {time.strftime('%Y-%m-%d %H:%M')}</p>",
+        INTRO,
+        "<h2>Figure 1 (k = 2<sup>40</sup>)</h2>",
+        figure_svg,
+    ]
+    for report in reports:
+        header, _, body = report.partition("\n")
+        parts.append("<div class='experiment'>")
+        parts.append(f"<h2>{html.escape(header.strip('= '))}</h2>")
+        parts.append(f"<pre>{html.escape(body)}</pre>")
+        parts.append("</div>")
+    parts.append("</body></html>")
+    return "\n".join(parts)
 
 
 def main(argv=None) -> int:
@@ -91,6 +141,7 @@ def main(argv=None) -> int:
     )
 
     rows = []
+    reports = []
     failures = 0
     for exp_id, outcome in zip(exp_ids, outcomes):
         if outcome.ok:
@@ -101,6 +152,7 @@ def main(argv=None) -> int:
         path = os.path.join(args.outdir, f"{exp_id}.txt")
         with open(path, "w") as f:
             f.write(report + "\n")
+        reports.append(report)
         rows.append(
             {
                 "experiment": exp_id,
@@ -113,6 +165,7 @@ def main(argv=None) -> int:
     print(tracker.summary())
 
     save_rows(rows, os.path.join(args.outdir, "summary.csv"))
+    charts = {}
     for log2_k in (20, 40):
         region_map = compute_region_map(
             1 << log2_k,
@@ -120,10 +173,15 @@ def main(argv=None) -> int:
             log2_n_max=6.5 * log2_k,
             log2_d_max=5.0 * log2_k,
         )
+        charts[log2_k] = region_map_svg(region_map)
         path = os.path.join(args.outdir, f"figure1_k{log2_k}.svg")
         with open(path, "w") as f:
-            f.write(region_map_svg(region_map))
+            f.write(charts[log2_k])
         print(f"wrote {path}")
+    path = os.path.join(args.outdir, "report.html")
+    with open(path, "w") as f:
+        f.write(render_html(reports, charts[40]))
+    print(f"wrote {path}")
     return 1 if failures else 0
 
 
