@@ -1,11 +1,11 @@
-"""Unified telemetry: event log, metrics registry, theorem budgets.
+"""Unified telemetry: event log, engine metrics, theorem budgets.
 
 One subsystem, four pieces (see DESIGN.md "Telemetry" for the schema):
 
 * :mod:`~repro.obs.schema` / :mod:`~repro.obs.writer` — the append-only
   JSONL event log with trace/span correlation ids;
-* :mod:`~repro.obs.metrics` — Counter/Gauge/Histogram primitives and the
-  :class:`MetricsObserver` bridge from the round engine;
+* :mod:`~repro.obs.metrics` — the :class:`MetricsObserver` bridge from
+  the round engine;
 * :mod:`~repro.obs.budget` — the paper's theorem bounds as live runtime
   budgets (:class:`BudgetObserver`);
 * :mod:`~repro.obs.logconf` / :mod:`~repro.obs.tail` — stdlib logging
@@ -24,13 +24,7 @@ from .budget import (
     budgets_for_scenario,
 )
 from .logconf import configure_logging
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsObserver,
-    MetricsRegistry,
-)
+from .metrics import MetricsObserver
 from .resources import (
     EnergyProbe,
     NullEnergyProbe,
@@ -75,13 +69,9 @@ __all__ = [
     "Budget",
     "BudgetObserver",
     "BudgetViolation",
-    "Counter",
     "EVENT_TYPES",
     "EnergyProbe",
-    "Gauge",
-    "Histogram",
     "MetricsObserver",
-    "MetricsRegistry",
     "NullEnergyProbe",
     "NullWriter",
     "RaplEnergyProbe",

@@ -6,9 +6,10 @@ The paper's guarantees bound quantities that the engine can measure
 re-anchors at any interior depth (``k (min(log Delta, log k) + 3)``),
 Theorem 3 bounds the urn game's steps and Proposition 9 the graph
 engine's rounds.  Historically these were checked after a run finished;
-:class:`BudgetObserver` turns each into a per-round margin series and a
-structured ``violation`` telemetry event emitted at the exact round a
-bound is crossed (on the array fast path: at the run's terminal round).
+:class:`BudgetObserver` measures each one every round, keeps its
+tightest margin, and emits a structured ``violation`` telemetry event at
+the exact round a bound is crossed (on the array fast path: at the
+run's terminal round).
 
 :func:`budgets_for_scenario` derives the applicable guards from a built
 scenario: an adversary-free tree or async-tree scenario gets the budgets
@@ -23,7 +24,7 @@ from __future__ import annotations
 import logging
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .. import registry
 from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
@@ -82,15 +83,6 @@ class BudgetViolation:
         return self.limit - self.value
 
 
-@dataclass
-class MarginSample:
-    """One point of a budget's running margin series."""
-
-    t: int
-    value: float
-    margin: float
-
-
 class BudgetObserver(RoundObserver):
     """Compares live run quantities against theorem budgets every round.
 
@@ -134,24 +126,22 @@ class BudgetObserver(RoundObserver):
 
     def _reset_run(self) -> None:
         self.violations: List[BudgetViolation] = []
-        self.series: Dict[str, List[MarginSample]] = {
-            budget.name: [] for budget in self.budgets
-        }
         self._fired: set = set()
-        #: Latest ``(t, value, margin)`` per budget; a :class:`MarginSample`
-        #: is only built for the rounds that enter the series.
-        self._latest: Dict[str, Tuple[int, float, float]] = {}
+        #: Latest margin per budget, and the tightest one so far.
+        self._latest: Dict[str, float] = {}
+        self._min: Dict[str, float] = {
+            budget.name: float("inf") for budget in self.budgets
+        }
 
     # ------------------------------------------------------------------
     def on_attach(self, state: RoundState) -> None:
-        """Reset the margin series for a fresh run."""
+        """Reset the margins for a fresh run."""
         self._reset_run()
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Measure every budget and fire violations the moment they occur."""
-        sample_round = (record.t + 1) % self.every == 0
-        self._measure(state, record, sample_round)
-        if sample_round and self.budgets:
+        self._measure(state, record)
+        if (record.t + 1) % self.every == 0 and self.budgets:
             self._flush(record.t, final=False)
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
@@ -170,24 +160,20 @@ class BudgetObserver(RoundObserver):
             t=rounds - 1, billed_before=billed, billed=billed, moves={},
             struck=set(), movable=None, before=None, progressed=False,
         )
-        self._measure(state, record, sample_round=False)
+        self._measure(state, record)
 
-    def _measure(
-        self, state: RoundState, record: RoundRecord, sample_round: bool
-    ) -> None:
-        """Measure every budget after ``record``'s round; add the point
-        to the margin series on sample rounds and fire each budget's
-        first violation."""
+    def _measure(self, state: RoundState, record: RoundRecord) -> None:
+        """Measure every budget after ``record``'s round, update its
+        latest and tightest margins and fire its first violation."""
         t = record.t
         latest = self._latest
+        tightest = self._min
         for budget in self.budgets:
             value = float(budget.value(state, record))
             margin = budget.limit - value
-            latest[budget.name] = (t, value, margin)
-            if sample_round:
-                self.series[budget.name].append(
-                    MarginSample(t=t, value=value, margin=margin)
-                )
+            latest[budget.name] = margin
+            if margin < tightest[budget.name]:
+                tightest[budget.name] = margin
             if margin < 0 and budget.name not in self._fired:
                 self._fired.add(budget.name)
                 violation = BudgetViolation(
@@ -215,48 +201,34 @@ class BudgetObserver(RoundObserver):
                 )
 
     def on_stop(self, state: RoundState, outcome: RunOutcome) -> None:
-        """Record the terminal margins and flush the final budget event."""
-        for budget in self.budgets:
-            latest = self._latest.get(budget.name)
-            if latest is not None:
-                samples = self.series[budget.name]
-                if not samples or samples[-1].t != latest[0]:
-                    samples.append(MarginSample(*latest))
+        """Flush the final budget event."""
         if self.budgets:
             self._flush(outcome.wall_rounds, final=True)
 
     # ------------------------------------------------------------------
     def margins(self) -> Dict[str, float]:
         """The latest margin per budget (``limit`` before any round)."""
-        out: Dict[str, float] = {}
-        for budget in self.budgets:
-            latest = self._latest.get(budget.name)
-            out[budget.name] = latest[2] if latest is not None else budget.limit
-        return out
+        return {
+            budget.name: self._latest.get(budget.name, budget.limit)
+            for budget in self.budgets
+        }
 
     def min_margin(self, name: Optional[str] = None) -> float:
         """The tightest margin seen so far (optionally for one budget)."""
-        candidates = [
-            sample.margin
-            for budget_name, samples in self.series.items()
-            if name is None or budget_name == name
-            for sample in samples
-        ]
-        latest = [
-            margin
-            for budget_name, (_, _, margin) in self._latest.items()
-            if name is None or budget_name == name
-        ]
-        pool = candidates + latest
-        return min(pool) if pool else float("inf")
+        return min(
+            (
+                margin
+                for budget_name, margin in self._min.items()
+                if name is None or budget_name == name
+            ),
+            default=float("inf"),
+        )
 
     def snapshot(self) -> Dict[str, Any]:
         """Flat summary (merged into orchestrator result rows)."""
         out: Dict[str, Any] = {"violations": len(self.violations)}
         for budget in self.budgets:
-            out[f"margin_{budget.name}"] = round(
-                self.min_margin(budget.name), 3
-            )
+            out[f"margin_{budget.name}"] = round(self._min[budget.name], 3)
         return out
 
     def _flush(self, wall_round: int, final: bool) -> None:
@@ -309,7 +281,8 @@ class _InteriorReanchors:
     """
 
     max_depth: int
-    _seen: int = 0
+    #: Records counted so far; ``None`` before the first measurement.
+    _seen: Optional[int] = None
     _per_depth: TallyCounter = field(default_factory=TallyCounter)
     _worst: int = 0
 
@@ -317,13 +290,21 @@ class _InteriorReanchors:
         metrics = getattr(getattr(state, "expl", None), "metrics", None)
         if metrics is None:
             return 0.0
-        records = metrics.reanchors
-        for rec in records[self._seen:]:
-            if 1 <= rec.depth <= self.max_depth - 1:
-                self._per_depth[rec.depth] += 1
-                if self._per_depth[rec.depth] > self._worst:
-                    self._worst = self._per_depth[rec.depth]
-        self._seen = len(records)
+        if self._seen is None:
+            # The first measurement takes the per-depth counts, so a
+            # fast-path run (measured once) never decodes its records.
+            counts = metrics.reanchors_per_depth().items()
+            self._seen = sum(count for _, count in counts)
+        else:
+            records = metrics.reanchors
+            counts = [(rec.depth, 1) for rec in records[self._seen:]]
+            self._seen = len(records)
+        per_depth = self._per_depth
+        for depth, count in counts:
+            if 1 <= depth <= self.max_depth - 1:
+                per_depth[depth] += count
+                if per_depth[depth] > self._worst:
+                    self._worst = per_depth[depth]
         return float(self._worst)
 
 
@@ -404,7 +385,6 @@ __all__ = [
     "Budget",
     "BudgetObserver",
     "BudgetViolation",
-    "MarginSample",
     "THEOREM1_ALGORITHMS",
     "THEOREM10_ALGORITHMS",
     "budget_sources",

@@ -412,6 +412,11 @@ class RoundLog(RoundObserver):
             del self.records[0]
 
 
+def _is_mover(move: Any) -> bool:
+    """Whether a selected move is an actual move (not a stay)."""
+    return isinstance(move, tuple) and bool(move) and move[0] != "stay"
+
+
 class InterferenceCounter(RoundObserver):
     """Counts blocked vs executed *mover* moves across the run.
 
@@ -424,10 +429,6 @@ class InterferenceCounter(RoundObserver):
         self.blocked_moves = 0
         self.executed_moves = 0
 
-    @staticmethod
-    def _is_mover(move: Any) -> bool:
-        return isinstance(move, tuple) and bool(move) and move[0] != "stay"
-
     def on_attach(self, state: RoundState) -> None:
         """Reset the counters for a fresh run."""
         self.blocked_moves = 0
@@ -439,7 +440,7 @@ class InterferenceCounter(RoundObserver):
         if not isinstance(moves, dict):
             return
         for agent, move in moves.items():
-            if not self._is_mover(move):
+            if not _is_mover(move):
                 continue
             if agent in record.struck:
                 self.blocked_moves += 1

@@ -1,82 +1,15 @@
-"""Metrics primitives and the engine-attached MetricsObserver."""
+"""The engine-attached MetricsObserver."""
 
 import pytest
 
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsObserver,
-    MetricsRegistry,
     NullWriter,
     TelemetryWriter,
     read_events,
 )
 from repro.registry import make_algorithm, make_tree
 from repro.sim import Simulator
-
-
-class TestCounter:
-    def test_accumulates_per_label_set(self):
-        c = Counter("moves")
-        c.inc(agent="a")
-        c.inc(2, agent="a")
-        c.inc(agent="b")
-        assert c.value(agent="a") == 3
-        assert c.value(agent="b") == 1
-        assert c.value(agent="zzz") == 0.0
-
-    def test_rejects_negative_increment(self):
-        c = Counter("moves")
-        with pytest.raises(ValueError, match="increase"):
-            c.inc(-1)
-
-
-class TestGauge:
-    def test_set_and_signed_inc(self):
-        g = Gauge("depth")
-        g.set(5)
-        g.inc(-2)
-        assert g.value() == 3
-
-
-class TestHistogram:
-    def test_counts_land_in_buckets(self):
-        h = Histogram("t", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        (sample,) = h.samples()
-        assert sample["count"] == 3
-        assert sample["value"] == pytest.approx(5.55)
-        assert sample["buckets"] == {"0.1": 1, "1.0": 1, "inf": 1}
-
-    def test_requires_buckets(self):
-        with pytest.raises(ValueError, match="bucket"):
-            Histogram("t", buckets=())
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_instance(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("a")
-
-    def test_collect_is_name_ordered(self):
-        reg = MetricsRegistry()
-        reg.counter("b").inc()
-        reg.counter("a").inc()
-        assert [s["name"] for s in reg.collect()] == ["a", "b"]
-
-    def test_reset_keeps_families(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc(5)
-        reg.reset()
-        assert reg.counter("a").value() == 0.0
 
 
 def _run(observer, n=40, k=3, alg="bfdn"):
@@ -121,9 +54,6 @@ class TestMetricsObserver:
         obs = MetricsObserver()
         _run(obs, n=25)
         assert obs.select_s >= 0 and obs.apply_s >= 0 and obs.observe_s >= 0
-        samples = obs.registry.histogram("engine_phase_seconds").samples()
-        phases = {s["labels"]["phase"] for s in samples}
-        assert phases == {"select", "apply", "observe"}
 
     def test_reattach_resets_run_counters(self):
         obs = MetricsObserver()
@@ -143,97 +73,3 @@ class TestMetricsObserver:
 
     def test_null_writer_is_default(self):
         assert isinstance(MetricsObserver().writer, NullWriter)
-
-
-# ---------------------------------------------------------------------
-# Merge: folding per-worker registries must be order-independent
-# ---------------------------------------------------------------------
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-#: One worker's recorded operations: (metric_kind, labelled, amount).
-#: Integer-valued amounts keep float addition exactly associative, so
-#: "order-independent" can be asserted with == rather than approx.
-_op = st.tuples(
-    st.sampled_from(["counter", "gauge", "histogram"]),
-    st.sampled_from(["a", "b", "c"]),
-    st.integers(min_value=0, max_value=50),
-)
-_worker = st.lists(_op, max_size=12)
-
-
-def _registry_from(ops):
-    reg = MetricsRegistry()
-    for kind, label, amount in ops:
-        if kind == "counter":
-            reg.counter("ops").inc(float(amount), worker=label)
-        elif kind == "gauge":
-            reg.gauge("load").inc(float(amount), worker=label)
-        else:
-            reg.histogram("lat").observe(float(amount), worker=label)
-    return reg
-
-
-def _merged(workers, order):
-    total = MetricsRegistry()
-    for index in order:
-        total.merge(workers[index])
-    return total.collect()
-
-
-class TestMergeOrderIndependence:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(_worker, min_size=2, max_size=5), st.randoms())
-    def test_any_fold_order_collects_identically(self, worker_ops, rng):
-        workers = [_registry_from(ops) for ops in worker_ops]
-        forward = list(range(len(workers)))
-        shuffled = list(forward)
-        rng.shuffle(shuffled)
-        assert _merged(workers, forward) == _merged(workers, shuffled)
-
-    @settings(max_examples=40, deadline=None)
-    @given(_worker, _worker)
-    def test_pairwise_merge_commutes(self, ops_a, ops_b):
-        ab = MetricsRegistry()
-        ab.merge(_registry_from(ops_a))
-        ab.merge(_registry_from(ops_b))
-        ba = MetricsRegistry()
-        ba.merge(_registry_from(ops_b))
-        ba.merge(_registry_from(ops_a))
-        assert ab.collect() == ba.collect()
-
-    def test_merge_sums_counters_and_histograms(self):
-        a = _registry_from([("counter", "a", 3), ("histogram", "a", 1)])
-        b = _registry_from([("counter", "a", 4), ("histogram", "a", 9)])
-        a.merge(b)
-        assert a.counter("ops").value(worker="a") == 7.0
-        hist = [
-            s for s in a.histogram("lat").samples()
-            if s["labels"] == {"worker": "a"}
-        ][0]
-        assert hist["count"] == 2
-        assert hist["value"] == 10.0
-
-    def test_merge_rejects_kind_mismatch(self):
-        a = MetricsRegistry()
-        a.counter("x")
-        b = MetricsRegistry()
-        b.gauge("x")
-        with pytest.raises(ValueError, match="cannot merge"):
-            a.merge(b)
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a = Histogram("h", buckets=(1.0, 2.0))
-        b = Histogram("h", buckets=(1.0, 3.0))
-        with pytest.raises(ValueError, match="bucket"):
-            a.merge(b)
-
-    def test_merge_adopts_unknown_families(self):
-        a = MetricsRegistry()
-        b = _registry_from([("gauge", "b", 5)])
-        a.merge(b)
-        assert a.gauge("load").value(worker="b") == 5.0
-        # Adopted by value, not by reference: the source stays intact.
-        b.gauge("load").inc(1.0, worker="b")
-        assert a.gauge("load").value(worker="b") == 5.0
