@@ -44,21 +44,30 @@ class PotentialCTE(ExplorationAlgorithm):
 
     name = "PotentialCTE"
 
+    def attach(self, expl: Exploration) -> None:
+        # Robots at-or-below each explored node (the potential's load
+        # vector), counting every robot — blocked ones still occupy their
+        # subtree and should repel new arrivals.  Everyone starts home.
+        self._load: Dict[int, int] = {expl.tree.root: expl.k}
+        self._sent: Dict[int, Move] = {}
+        self._from = expl.positions
+
+    def observe(self, expl: Exploration, events) -> None:
+        # A robot that stepped changes one entry: the node it left going
+        # up, or the node it entered going down or exploring.
+        load, before, after = self._load, self._from, expl.positions
+        for i, move in self._sent.items():
+            v = after[i]
+            if v != before[i]:
+                if move is UP:
+                    load[before[i]] -= 1
+                else:
+                    load[v] = load.get(v, 0) + 1
+
     def select_moves(self, expl: Exploration, movable: Set[int]) -> Dict[int, Move]:
         ptree = expl.ptree
         root = expl.tree.root
-
-        # Robots at-or-below each explored node (the potential's load
-        # vector), counting every robot — blocked ones still occupy their
-        # subtree and should repel new arrivals.
-        load: Dict[int, int] = {}
-        for position in expl.positions:
-            v = position
-            while True:
-                load[v] = load.get(v, 0) + 1
-                if v == root:
-                    break
-                v = ptree.parent(v)
+        load = self._load
 
         # Per-node dangling ports, handed out one robot per port.
         port_iters: Dict[int, Iterator[int]] = {}
@@ -94,4 +103,6 @@ class PotentialCTE(ExplorationAlgorithm):
                 # out this round and no explored branch is unfinished:
                 # wait in place — the reveals land exactly here.
                 moves[i] = STAY
+        self._sent = moves
+        self._from = expl.positions
         return moves

@@ -69,6 +69,8 @@ class BFDN1Instance(AnchorBasedInstance):
             self._anchors[i] = root
             self._stacks[i] = []
         self._loads[root] = len(self.robots)
+        #: Robots parked so far; a robot parks once and stays parked.
+        self._parked = 0
 
         # Per-instance open-node tracking, absolute depths.
         self._in_subtree: Set[int] = set()
@@ -169,6 +171,7 @@ class BFDN1Instance(AnchorBasedInstance):
             self._anchors[i] = self.root
             self._loads[self.root] = self._loads.get(self.root, 0) + 1
             self._modes[i] = _PARKED
+            self._parked += 1
             return _PARKED
         candidates = self._open_by_depth[d]
         new = min(candidates, key=lambda v: (self._loads.get(v, 0), v))
@@ -189,7 +192,7 @@ class BFDN1Instance(AnchorBasedInstance):
     # ------------------------------------------------------------------
     @property
     def active_count(self) -> int:
-        return sum(1 for i in self.robots if self._modes[i] != _PARKED)
+        return len(self.robots) - self._parked
 
     def anchor_claims(self, expl: Exploration) -> List[int]:
         ptree = expl.ptree

@@ -65,6 +65,8 @@ class GraphExploration:
             self.open_by_depth[0] = {graph.origin}
         self.closed_edges = 0
         self.tree_edges = 0
+        #: Non-stay moves executed, an identity swap's two included.
+        self.total_moves = 0
 
     # ------------------------------------------------------------------
     def depth(self, v: int) -> int:
@@ -137,7 +139,7 @@ class GraphExploration:
         graph = self.graph
         new_positions = list(self.positions)
         explores: List[Tuple[int, int, int]] = []  # (robot, u, port)
-        moved = False
+        moved = 0
 
         for i, move in moves.items():
             u = self.positions[i]
@@ -150,20 +152,20 @@ class GraphExploration:
                     raise ValueError(f"robot {i} has no pending backtrack")
                 new_positions[i] = target
                 self.pending_backtrack[i] = None
-                moved = True
+                moved += 1
             elif kind == "goto":
                 target = move[1]
                 eid = graph.edge_id(u, target)
                 if self.edge_state[eid] != _TREE:
                     raise ValueError(f"robot {i}: {u}->{target} is not a tree edge")
                 new_positions[i] = target
-                moved = True
+                moved += 1
             elif kind == "explore":
                 port = move[1]
                 if port not in self.open_ports.get(u, ()):
                     raise ValueError(f"robot {i}: port {port} of {u} is not open")
                 explores.append((i, u, port))
-                moved = True
+                moved += 1
             else:
                 raise ValueError(f"robot {i}: unknown move {move!r}")
 
@@ -196,6 +198,7 @@ class GraphExploration:
 
         if moved:
             self.round += 1
+            self.total_moves += moved
         self.positions = new_positions
 
 
@@ -295,6 +298,10 @@ class GraphRoundState(RoundState):
     def team(self):
         """All ``k`` robots."""
         return self._team
+
+    def executed_moves(self) -> int:
+        """Non-stay moves executed so far."""
+        return self.expl.total_moves
 
 
 class GraphPolicy(Policy):

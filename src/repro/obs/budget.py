@@ -135,8 +135,12 @@ class BudgetObserver(RoundObserver):
 
     # ------------------------------------------------------------------
     def on_attach(self, state: RoundState) -> None:
-        """Reset the margins for a fresh run."""
+        """Reset the margins, and any stateful value function, for a fresh run."""
         self._reset_run()
+        for budget in self.budgets:
+            reset = getattr(budget.value, "reset", None)
+            if reset is not None:
+                reset()
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Measure every budget and fire violations the moment they occur."""
@@ -285,6 +289,12 @@ class _InteriorReanchors:
     _seen: Optional[int] = None
     _per_depth: TallyCounter = field(default_factory=TallyCounter)
     _worst: int = 0
+
+    def reset(self) -> None:
+        """Forget the previous run's counts (the observer's attach)."""
+        self._seen = None
+        self._per_depth = TallyCounter()
+        self._worst = 0
 
     def __call__(self, state: RoundState, record: RoundRecord) -> float:
         metrics = getattr(getattr(state, "expl", None), "metrics", None)

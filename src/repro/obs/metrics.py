@@ -11,30 +11,22 @@ cumulative counters as ``round`` events carrying its trace/span ids.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import countOf, itemgetter
 from typing import Any, Dict
 
 from ..perf.timing import TimingObserver
 from ..sim.runloop import RoundRecord, RoundState, RunOutcome, _is_mover
 from .writer import NullWriter
 
-_first = itemgetter(0)
-
-#: Moves per round above which :meth:`MetricsObserver.on_round` counts
-#: movers in C.  Below it the per-move test is cheaper than setting up
-#: the C-level count (measured on CPython 3.11: 0.5 vs 1.4 us for one
-#: move, 12.6 vs 8.9 us for 64; the two cross at about 8).
-_C_COUNT_MIN_MOVES = 8
-
 
 class MetricsObserver(TimingObserver):
     """Streams per-round engine metrics into the event log.
 
     On top of the :class:`~repro.perf.timing.TimingObserver` counters it
-    counts, per run: mover moves executed, interference-struck moves,
-    idle robot-rounds and re-anchor calls (tree states expose them
-    through ``state.expl.metrics.reanchors``).  Every ``every`` rounds —
+    reports, per run: moves executed and idle robot-rounds, read from the
+    state's own counters (``executed_moves()``; ``k`` times the billed
+    rounds less the moves), re-anchor calls (tree states log them in
+    ``state.expl.metrics.reanchors``) and interference-struck mover
+    moves, the one count it takes per round.  Every ``every`` rounds —
     and once at termination — the cumulative counters are flushed as
     one ``round`` telemetry event carrying the observer's trace/span
     ids.
@@ -68,51 +60,45 @@ class MetricsObserver(TimingObserver):
         self.blocked = 0
         self.idle = 0
         self.reanchors = 0
-        self._reanchor_seen = 0
+        self._state = None
 
     # ------------------------------------------------------------------
+    def on_attach(self, state: RoundState) -> None:
+        """Start the run clock and keep the state whose counters it reads."""
+        super().on_attach(state)
+        self._state = state
+
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
-        """Fold one :class:`RoundRecord` into the counters."""
+        """Count the round's struck movers; flush every ``every`` rounds."""
         super().on_round(state, record)
-        moves = record.moves
-        movers = 0
-        if isinstance(moves, dict):
-            values = moves.values()
-            if (
-                not record.struck
-                and len(values) > _C_COUNT_MIN_MOVES
-                and all(map(isinstance, values, repeat(tuple)))
-                and () not in values
-            ):
-                # Every move is a non-empty tuple and none was struck:
-                # the movers are the moves whose kind is not "stay".
-                movers = len(values) - countOf(map(_first, values), "stay")
-            else:
-                for agent, move in moves.items():
-                    if not _is_mover(move):
-                        continue
-                    if agent in record.struck:
-                        self.blocked += 1
-                    else:
-                        movers += 1
-        self.moves += movers
-        team = state.team()
-        if team is not None and record.billed > record.billed_before:
-            self.idle += len(team) - movers
-        metrics = getattr(getattr(state, "expl", None), "metrics", None)
-        if metrics is not None:
-            total = len(metrics.reanchors)
-            self.reanchors += total - self._reanchor_seen
-            self._reanchor_seen = total
+        struck = record.struck
+        if struck and isinstance(record.moves, dict):
+            self.blocked += sum(map(_is_mover, map(record.moves.get, struck)))
         if self.rounds % self.every == 0:
             self._flush(record.t + 1, final=False)
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
         """Take the array fast path's whole-run totals as the counters."""
         super().on_batch(state, summary)
+        self._state = None
         self.moves = summary["moves"]
         self.idle = summary["idle"]
         self.reanchors = summary["reanchors"]
+
+    def _read_counters(self) -> None:
+        """Take moves, idle robot-rounds and re-anchors from the run's own
+        counters: each billed round a robot moved or idled, and models
+        without a team (the urn game) have neither."""
+        state = self._state
+        if state is None:
+            return
+        team = state.team()
+        if team is not None:
+            self.moves = state.executed_moves()
+            self.idle = self.billed_rounds * len(team) - self.moves
+        metrics = getattr(getattr(state, "expl", None), "metrics", None)
+        if metrics is not None:
+            self.reanchors = len(metrics.reanchors)
 
     def on_stop(self, state: RoundState, outcome: RunOutcome) -> None:
         """Flush the final cumulative ``round`` event.
@@ -137,6 +123,7 @@ class MetricsObserver(TimingObserver):
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Flat cumulative counters (merged into orchestrator rows)."""
+        self._read_counters()
         return {
             "rounds": self.rounds,
             "billed_rounds": self.billed_rounds,

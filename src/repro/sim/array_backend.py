@@ -82,7 +82,7 @@ class ArrayMetrics(ExplorationMetrics):
         idle_rounds: int,
         total_moves: int,
         moves_per_robot: Counter,
-        idle_per_robot: Counter,
+        k: int,
         reveals: int,
         reanchor_log: List[Tuple[int, int, int, int]],
     ):
@@ -90,7 +90,7 @@ class ArrayMetrics(ExplorationMetrics):
         self.idle_rounds = idle_rounds
         self.total_moves = total_moves
         self.moves_per_robot = moves_per_robot
-        self.idle_per_robot = idle_per_robot
+        self.k = k
         self.reveals = reveals
         self._reanchor_log = reanchor_log
         self._materialized: Optional[list] = None
@@ -508,12 +508,8 @@ def _run(engine):
     # ---- writeback: indistinguishable final state -------------------
     reveals = len(ev_child)
     moves_pr = Counter()
-    idle_c = Counter()
     for i in robots:
-        idles = idle_pr[i]
-        if idles:
-            idle_c[i] = idles
-        moves = billed - idles
+        moves = billed - idle_pr[i]
         if moves:
             moves_pr[i] = moves
     expl.round = billed
@@ -523,7 +519,7 @@ def _run(engine):
         idle_rounds=idle_rounds,
         total_moves=total_moves,
         moves_per_robot=moves_pr,
-        idle_per_robot=idle_c,
+        k=k,
         reveals=reveals,
         reanchor_log=reanchor_log,
     )

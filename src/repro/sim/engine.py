@@ -22,7 +22,6 @@ from abc import ABC, abstractmethod
 # Counter.update's own counting loop, minus its per-call Mapping check.
 from collections import _count_elements
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..trees.partial import PartialTree, RevealEvent
@@ -99,7 +98,7 @@ class Exploration:
         self.ptree = PartialTree(tree.root, tree.degree(tree.root))
         self.positions: List[int] = [tree.root] * k
         self.round = 0
-        self.metrics = ExplorationMetrics()
+        self.metrics = ExplorationMetrics(k=k)
         self._robots = frozenset(range(k))
 
     # ------------------------------------------------------------------
@@ -220,13 +219,9 @@ class Exploration:
                 # A robot is idle in a billed round iff it did not traverse
                 # an edge — whether it submitted "stay", "up" at the root
                 # (the paper's stay convention), no move at all, or was
-                # blocked.  Counting by complement of ``moved`` keeps
-                # ``moves_per_robot[i] + idle_per_robot[i] == rounds``.
+                # blocked; ``metrics.idle_per_robot`` is the complement of
+                # its moves.
                 metrics.idle_rounds += 1
-                _count_elements(
-                    metrics.idle_per_robot,
-                    filterfalse(set(moved).__contains__, range(k)),
-                )
         metrics.reveals += len(events)
         self.positions = new_positions
         return events
@@ -263,6 +258,10 @@ class TreeRoundState(RoundState):
     def team(self):
         """All ``k`` robots."""
         return self._team
+
+    def executed_moves(self) -> int:
+        """Edges traversed so far (``metrics.total_moves``)."""
+        return self.expl.metrics.total_moves
 
 
 class AlgorithmPolicy(Policy):

@@ -35,12 +35,20 @@ class ExplorationMetrics:
     total_moves: int = 0
     #: Moves per robot.
     moves_per_robot: Counter = field(default_factory=Counter)
-    #: Idle (non-moving) rounds per robot.
-    idle_per_robot: Counter = field(default_factory=Counter)
     #: Number of dangling-edge first traversals (== n - 1 at the end).
     reveals: int = 0
     #: Re-anchor log, appended by anchor-based algorithms.
     reanchors: List[ReanchorRecord] = field(default_factory=list)
+    #: Team size: robots ``0 .. k - 1``.
+    k: int = 0
+
+    @property
+    def idle_per_robot(self) -> Counter:
+        """Idle billed rounds per robot, ``rounds - moves_per_robot[i]``
+        (each billed round a robot moved or idled); robots with none are
+        left out."""
+        rounds, moves = self.rounds, self.moves_per_robot
+        return Counter({i: rounds - moves[i] for i in range(self.k) if moves[i] < rounds})
 
     def reanchors_per_depth(self) -> Dict[int, int]:
         """Number of ``Reanchor`` calls returning an anchor at each depth.

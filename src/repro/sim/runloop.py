@@ -133,6 +133,10 @@ class RoundState(ABC):
         """The full agent set, or ``None`` for models without agents."""
         return None
 
+    def executed_moves(self) -> int:
+        """Agent moves executed so far, counted by ``apply``."""
+        return 0
+
 
 class Policy(ABC):
     """Selects each round's moves for a :class:`RoundState`."""

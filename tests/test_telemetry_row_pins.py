@@ -42,11 +42,15 @@ CASES = (
     ("tree", "potential-cte", "random", 300, 8, None),
     ("async-tree", "async-cte", "random", 150, 8, "stochastic"),
     ("graph", "graph-bfdn", "maze", 60, 4, None),
+    # The reactive default adversary (block-explorers) strikes moves, so
+    # this case pins a nonzero ``obs_blocked``.
+    ("reactive", "bfdn", "random", 150, 8, None),
 )
 
 
 def _case_id(case):
-    return f"{case[1]}/{case[2]}"
+    base = f"{case[1]}/{case[2]}"
+    return f"{base}/reactive" if case[0] == "reactive" else base
 
 
 def _row(case, trace_dir):
@@ -92,6 +96,12 @@ def test_pins_carry_observer_columns(pins, case):
     row = pins[_case_id(case)]
     for key in ("obs_rounds", "obs_moves", "obs_idle", "obs_reveals"):
         assert key in row
-    if case[1] != "cte":
+    # CTE and interference runs carry no theorem budget.
+    if case[1] != "cte" and case[0] != "reactive":
         assert "violations" in row
         assert any(key.startswith("margin_") for key in row)
+
+
+def test_interference_case_pins_blocked_moves(pins):
+    row = pins["bfdn/random/reactive"]
+    assert row["obs_blocked"] == row["blocked_moves"] > 0
